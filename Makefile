@@ -7,7 +7,7 @@ GO ?= go
 GOMAXPROCS ?= 4
 BENCH_ENV = GOMAXPROCS=$(GOMAXPROCS)
 
-.PHONY: all build test race bench bench-route bench-sim bench-kernels bench-noise bench-optimize bench-stream bench-service bench-fleet bench-obs fleet serve loadgen lint vet fmt fmt-check bench-json fuzz-rewrite fuzz-stream
+.PHONY: all build test test-perfbench race bench bench-route bench-sim bench-kernels bench-noise bench-optimize bench-stream bench-service bench-fleet bench-obs fleet serve loadgen lint vet fmt fmt-check bench-json fuzz-rewrite fuzz-stream
 
 all: build test
 
@@ -16,6 +16,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a module of its own (perfbench/go.mod), so the root
+# `go test ./...` never reaches it; vet and test it separately.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-check the concurrent compilation engine, the routers it drives, the
 # lazily-built per-device distance oracle they all share, the simulation

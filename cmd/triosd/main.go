@@ -58,6 +58,7 @@ import (
 	"trios/internal/obs"
 	"trios/internal/service"
 	"trios/internal/store"
+	"trios/internal/stream"
 	"trios/internal/template"
 	"trios/internal/topo"
 	"trios/internal/version"
@@ -118,7 +119,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		cacheSize     = fs.Int("cache", 512, "compile cache capacity in artifacts")
 		storeDir      = fs.String("store-dir", "", "persistent artifact store directory ('' = memory-only; restarts are cold)")
 		storeMaxBytes = fs.Int64("store-max-bytes", store.DefaultMaxBytes, "artifact store byte budget; LRU entries beyond it are evicted")
-		streamWindow  = fs.Int("stream-window", 0, "default gate-window size for /v1/compile/stream (0 = built-in default; requests may override with ?window=N)")
+		streamWindow  = fs.Int("stream-window", 0, fmt.Sprintf("default gate-window size for /v1/compile/stream (0 = built-in default, at most %d; requests may override with ?window=N)", stream.MaxWindow))
 		templates     = fs.Bool("templates", false, "precompile the template library at startup and serve or stitch matching requests from fragments")
 		templateWarm  = fs.String("template-warm", "johannesburg", "comma-separated topologies to warm template fragments for (with -templates)")
 		grace         = fs.Duration("grace", 15*time.Second, "graceful-drain deadline on shutdown")
@@ -144,6 +145,10 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 	}
 	format, err := obs.ParseFormat(*logFormat)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return fmt.Errorf("%w: %v", errFlagParse, err)
+	}
+	if err := stream.CheckWindow(*streamWindow); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return fmt.Errorf("%w: %v", errFlagParse, err)
 	}

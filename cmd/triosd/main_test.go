@@ -21,6 +21,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if !errors.Is(err, errFlagParse) {
 		t.Fatalf("err = %v, want errFlagParse", err)
 	}
+	if err := run(context.Background(), []string{"-stream-window", "4611686018427387904"}, &out, nil); !errors.Is(err, errFlagParse) {
+		t.Fatalf("oversized -stream-window: err = %v, want errFlagParse", err)
+	}
 	if err := run(context.Background(), []string{"-h"}, &out, nil); err != nil {
 		t.Fatalf("-h should be success, got %v", err)
 	}

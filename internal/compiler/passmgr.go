@@ -52,6 +52,11 @@ type PassContext struct {
 	Final *layout.Layout
 	// SwapsAdded accumulates routing SWAPs (before 3-CX expansion).
 	SwapsAdded int
+	// mainRoute and fixupRoute are the incremental sessions of the
+	// window-aware routing passes, begun on their first Run; fixupBase is
+	// the placement the fixup movement composes onto.
+	mainRoute, fixupRoute *route.Session
+	fixupBase             *layout.Layout
 	// Metrics collects one entry per executed pass.
 	Metrics []PassMetric
 	// ScheduledDuration is filled by the optional Schedule pass: the ASAP
@@ -148,13 +153,13 @@ func (pm *PassManager) Passes() []Pass { return pm.passes }
 // ctx.Metrics. The first failing pass aborts the pipeline, as does
 // cancellation of ctx.Ctx at any pass boundary.
 func (pm *PassManager) Run(ctx *PassContext) error {
+	before := ctx.Circuit.CollectStats()
 	for _, p := range pm.passes {
 		if ctx.Ctx != nil {
 			if err := ctx.Ctx.Err(); err != nil {
 				return fmt.Errorf("compiler: %s pipeline cancelled before pass %s: %w", pm.label, p.Name(), err)
 			}
 		}
-		before := ctx.Circuit.CollectStats()
 		start := time.Now()
 		if err := p.Run(ctx, ctx.Circuit); err != nil {
 			return fmt.Errorf("compiler: %s pipeline, pass %s: %w", pm.label, p.Name(), err)
@@ -168,6 +173,7 @@ func (pm *PassManager) Run(ctx *PassContext) error {
 			TwoQubitBefore: before.TwoQubit,
 			TwoQubitAfter:  after.TwoQubit,
 		})
+		before = after
 	}
 	return nil
 }
@@ -253,9 +259,14 @@ func LowerPass() Pass {
 
 // PlacePass computes the initial virtual->physical placement from
 // ctx.Opts (explicit layout, greedy, random, or identity) using the current
-// circuit's interaction structure, and seeds Final with a copy of it.
+// circuit's interaction structure, and seeds Final with a copy of it. It
+// runs only while ctx.Init is unset, so a windowed compile places from its
+// first window and keeps that placement.
 func PlacePass() Pass {
 	return NewPass("layout:place", func(ctx *PassContext, c *circuit.Circuit) error {
+		if ctx.Init != nil {
+			return nil
+		}
 		cm, err := ctx.costModel()
 		if err != nil {
 			return err
@@ -272,25 +283,61 @@ func PlacePass() Pass {
 
 // ---- Route passes ----
 
+// routeWindow routes c from initial with the router newRouter builds and
+// returns the placement reached, replacing ctx.Circuit with the routed
+// gates and counting the SWAPs added. A router that can route incrementally
+// (route.Baseline, route.Trios) is begun once into *sess and fed c on every
+// call, so calling routeWindow once per window routes exactly as one call
+// over the whole circuit; any other router routes c whole.
+func routeWindow(ctx *PassContext, sess **route.Session, newRouter func() (route.Router, error), initial *layout.Layout, c *circuit.Circuit) (*layout.Layout, error) {
+	if *sess == nil {
+		router, err := newRouter()
+		if err != nil {
+			return nil, err
+		}
+		sr, ok := router.(interface {
+			Begin(*topo.Graph, *layout.Layout) (*route.Session, error)
+		})
+		if !ok {
+			routed, err := router.Route(c, ctx.Graph, initial)
+			if err != nil {
+				return nil, err
+			}
+			ctx.Circuit = routed.Circuit
+			ctx.SwapsAdded += routed.SwapsAdded
+			return routed.Final, nil
+		}
+		if *sess, err = sr.Begin(ctx.Graph, initial); err != nil {
+			return nil, err
+		}
+	}
+	ss := *sess
+	swaps := ss.Swaps()
+	if err := ss.Feed(c.Gates); err != nil {
+		return nil, err
+	}
+	ctx.Circuit = &circuit.Circuit{NumQubits: ctx.Graph.NumQubits(), Gates: ss.Drain(make([]circuit.Gate, 0, ss.Pending()))}
+	ctx.SwapsAdded += ss.Swaps() - swaps
+	return ss.Layout(), nil
+}
+
 // RoutePass runs the configured router from the placement chosen by
-// PlacePass; trioAware selects the Trios-capable router variants.
+// PlacePass; trioAware selects the Trios-capable router variants. With the
+// direct router the pass is window-aware (see routeWindow): each Run routes
+// the next window, and Final is the live placement.
 func RoutePass(trioAware bool) Pass {
 	return NewPass("route:main", func(ctx *PassContext, c *circuit.Circuit) error {
-		cm, err := ctx.costModel()
+		final, err := routeWindow(ctx, &ctx.mainRoute, func() (route.Router, error) {
+			cm, err := ctx.costModel()
+			if err != nil {
+				return nil, err
+			}
+			return pickRouter(ctx.Opts, trioAware, cm, ctx.Graph)
+		}, ctx.Init, c)
 		if err != nil {
 			return err
 		}
-		router, err := pickRouter(ctx.Opts, trioAware, cm, ctx.Graph)
-		if err != nil {
-			return err
-		}
-		routed, err := router.Route(c, ctx.Graph, ctx.Init)
-		if err != nil {
-			return err
-		}
-		ctx.Circuit = routed.Circuit
-		ctx.Final = routed.Final
-		ctx.SwapsAdded += routed.SwapsAdded
+		ctx.Final = final
 		return nil
 	})
 }
@@ -298,46 +345,45 @@ func RoutePass(trioAware bool) Pass {
 // GroupsRoutePass routes any-arity gate groups with the cluster router.
 func GroupsRoutePass() Pass {
 	return NewPass("route:groups", func(ctx *PassContext, c *circuit.Circuit) error {
-		grouper := &route.Groups{Seed: ctx.Opts.Seed}
-		routed, err := grouper.Route(c, ctx.Graph, ctx.Init)
+		final, err := routeWindow(ctx, &ctx.mainRoute, func() (route.Router, error) {
+			return &route.Groups{Seed: ctx.Opts.Seed}, nil
+		}, ctx.Init, c)
 		if err != nil {
 			return err
 		}
-		ctx.Circuit = routed.Circuit
-		ctx.Final = routed.Final
-		ctx.SwapsAdded += routed.SwapsAdded
+		ctx.Final = final
 		return nil
 	})
 }
 
 // FixupRoutePass patches gates a second decomposition left on non-adjacent
 // qubits: it routes the current circuit over physical positions (identity
-// layout), then composes the resulting movement into ctx.Final. The router
-// is seeded with Seed+1 to decorrelate it from the main routing pass.
+// layout), then composes the resulting movement onto the placement Final
+// held when the fixup began (none, in a context that never routed). The
+// router is seeded with Seed+1 to decorrelate it from the main routing
+// pass. Like RoutePass it is window-aware.
 func FixupRoutePass(r func(ctx *PassContext) (route.Router, error)) Pass {
 	return NewPass("route:fixup", func(ctx *PassContext, c *circuit.Circuit) error {
-		router, err := r(ctx)
+		if ctx.fixupRoute == nil {
+			ctx.fixupBase = ctx.Final
+		}
+		moved, err := routeWindow(ctx, &ctx.fixupRoute, func() (route.Router, error) {
+			return r(ctx)
+		}, layout.Identity(ctx.Graph.NumQubits()), c)
 		if err != nil {
 			return err
 		}
-		fixed, err := router.Route(c, ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
-		if err != nil {
-			return err
+		if ctx.fixupBase == nil {
+			ctx.Final = moved
+			return nil
 		}
 		// Compose placements: v -> main-route final -> fixup final.
-		n := ctx.Graph.NumQubits()
-		final := make([]int, n)
-		for v := 0; v < n; v++ {
-			final[v] = fixed.Final.Phys(ctx.Final.Phys(v))
+		final := make([]int, ctx.Graph.NumQubits())
+		for v := range final {
+			final[v] = moved.Phys(ctx.fixupBase.Phys(v))
 		}
-		composed, err := layout.FromVirtualToPhys(final)
-		if err != nil {
-			return err
-		}
-		ctx.Circuit = fixed.Circuit
-		ctx.Final = composed
-		ctx.SwapsAdded += fixed.SwapsAdded
-		return nil
+		ctx.Final, err = layout.FromVirtualToPhys(final)
+		return err
 	})
 }
 
@@ -610,18 +656,11 @@ func checkFits(input *circuit.Circuit, g *topo.Graph) error {
 	return nil
 }
 
-// compileFrom runs the pipeline for opts. When prepared is non-nil it is
-// the (possibly cached) output of the front passes for this input and
-// configuration, and the front is skipped; frontMetrics carries the metrics
-// to attribute to it. Cancelling stdctx aborts at the next pass boundary.
-func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, frontMetrics []PassMetric, g *topo.Graph, opts Options) (*Result, error) {
-	if err := checkFits(input, g); err != nil {
-		return nil, err
-	}
-	// Resolve the cost model once and verify up front that whatever
-	// calibration is in play actually characterizes this device: a noise
-	// model missing couplings would otherwise surface as unreachable-path
-	// routing failures deep inside a pass.
+// resolveCost resolves the cost model once per compilation and verifies up
+// front that whatever calibration is in play actually characterizes g: a
+// noise model missing couplings would otherwise surface as unreachable-path
+// routing failures deep inside a pass.
+func resolveCost(opts Options, g *topo.Graph) (device.CostModel, error) {
 	cm, err := opts.costModel()
 	if err != nil {
 		return nil, err
@@ -635,6 +674,21 @@ func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, front
 		if err := nm.Calibration().CheckGraph(g); err != nil {
 			return nil, err
 		}
+	}
+	return cm, nil
+}
+
+// compileFrom runs the pipeline for opts. When prepared is non-nil it is
+// the (possibly cached) output of the front passes for this input and
+// configuration, and the front is skipped; frontMetrics carries the metrics
+// to attribute to it. Cancelling stdctx aborts at the next pass boundary.
+func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, frontMetrics []PassMetric, g *topo.Graph, opts Options) (*Result, error) {
+	if err := checkFits(input, g); err != nil {
+		return nil, err
+	}
+	cm, err := resolveCost(opts, g)
+	if err != nil {
+		return nil, err
 	}
 	// Template fast path: a source holding a precompiled fragment for this
 	// exact (input, device, options) serves it without running the pipeline;

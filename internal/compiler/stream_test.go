@@ -10,8 +10,10 @@ import (
 
 	"trios/internal/circuit"
 	"trios/internal/decompose"
+	"trios/internal/device"
 	"trios/internal/qasm"
 	"trios/internal/sim"
+	"trios/internal/stream"
 	"trios/internal/topo"
 )
 
@@ -329,5 +331,35 @@ func TestStreamRejectsRegisterGrowth(t *testing.T) {
 		t.Fatal("StreamCompile accepted a register-growing stream")
 	} else if !strings.Contains(err.Error(), "strict register bounds") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestStreamRejectsOversizedWindow: a window above stream.MaxWindow is
+// refused up front rather than sized into an allocation.
+func TestStreamRejectsOversizedWindow(t *testing.T) {
+	opts := StreamOptions{Window: stream.MaxWindow + 1}
+	if _, err := StreamCompile(context.Background(), strings.NewReader("qreg q[2];\ncx q[0], q[1];\n"), &bytes.Buffer{}, topo.Line(4), opts); err == nil {
+		t.Fatal("StreamCompile accepted a window above stream.MaxWindow")
+	}
+}
+
+// TestStreamNoiseAwareSixMode streams under a calibration's noise cost
+// model in Six mode, pipelined, so the route and back stages resolve
+// routers from the shared cost model concurrently; the output must still
+// equal the monolithic compile.
+func TestStreamNoiseAwareSixMode(t *testing.T) {
+	src, err := qasm.Emit(mixedCircuit(16, 2000, 19))
+	if err != nil {
+		t.Fatalf("Emit: %v", err)
+	}
+	cal, err := device.ForDevice("johannesburg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := StreamOptions{Window: 64, Parallel: true}
+	opts.Pipeline, opts.Mode, opts.Seed, opts.Calibration = TriosPipeline, decompose.Six, 4, cal
+	res := streamGolden(t, src, topo.Johannesburg(), opts)
+	if !strings.HasPrefix(res.CostModel, "noise:") {
+		t.Fatalf("cost model %q, want the calibration's noise model", res.CostModel)
 	}
 }

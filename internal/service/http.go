@@ -42,14 +42,22 @@ func (s *Service) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// statusWriter records the response code for metrics.
+// statusWriter records the response code for metrics. An explicit code is
+// counted before its header goes out, so a client holding the response
+// already sees the request in /metrics; an implicit 200 is counted when the
+// handler returns (a scrape never counts itself).
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	m       *metrics
+	code    int
+	counted bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
+	if !w.counted {
+		w.code, w.counted = code, true
+		w.m.countCode(code)
+	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
@@ -68,7 +76,7 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inFlight.Add(1)
 		defer s.metrics.inFlight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w, m: s.metrics, code: http.StatusOK}
 		start := time.Now()
 		var span *obs.Span
 		if s.cfg.Tracer != nil && strings.HasPrefix(r.URL.Path, "/v1/") {
@@ -87,7 +95,10 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 			span.SetAttr("status", strconv.Itoa(sw.code))
 			span.End()
 		}
-		s.metrics.countResponse(sw.code, time.Since(start).Seconds())
+		if !sw.counted {
+			s.metrics.countCode(sw.code)
+		}
+		s.metrics.httpHist.observe(time.Since(start).Seconds())
 	})
 }
 

@@ -110,11 +110,10 @@ func newMetrics() *metrics {
 	}
 }
 
-func (m *metrics) countResponse(code int, seconds float64) {
+func (m *metrics) countCode(code int) {
 	m.mu.Lock()
 	m.byCode[code]++
 	m.mu.Unlock()
-	m.httpHist.observe(seconds)
 }
 
 func (m *metrics) countOutcome(outcome string) {

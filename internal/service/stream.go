@@ -57,8 +57,9 @@ type streamStats struct {
 
 // resolveStreamQuery maps /v1/compile/stream query parameters onto
 // compiler.StreamOptions through the same resolveOptions vocabulary the JSON
-// endpoint uses, plus the two streaming knobs: window (gates per window) and
-// parallel (pipelined stage workers; default true).
+// endpoint uses, plus the two streaming knobs: window (gates per window, at
+// most stream.MaxWindow) and parallel (pipelined stage workers; default
+// true). Options StreamOptions.Check refuses are a 400.
 func (s *Service) resolveStreamQuery(q url.Values) (*JobSpec, compiler.StreamOptions, error) {
 	req := CompileRequest{
 		Topology:    q.Get("topology"),
@@ -92,12 +93,6 @@ func (s *Service) resolveStreamQuery(q url.Values) (*JobSpec, compiler.StreamOpt
 	if err != nil {
 		return nil, compiler.StreamOptions{}, err
 	}
-	if opts.Pipeline != compiler.Conventional && opts.Pipeline != compiler.TriosPipeline {
-		return nil, compiler.StreamOptions{}, badRequest("pipeline %q is not streamable; use /v1/compile", orDefault(req.Pipeline, "trios"))
-	}
-	if opts.Router != compiler.RouteDirect {
-		return nil, compiler.StreamOptions{}, badRequest("router %q is not streamable; use /v1/compile", req.Router)
-	}
 	sopts := compiler.StreamOptions{Options: opts, Window: s.cfg.StreamWindow, Parallel: true}
 	if v := q.Get("window"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -112,6 +107,9 @@ func (s *Service) resolveStreamQuery(q url.Values) (*JobSpec, compiler.StreamOpt
 			return nil, compiler.StreamOptions{}, badRequest("bad parallel %q", v)
 		}
 		sopts.Parallel = b
+	}
+	if err := sopts.Check(); err != nil {
+		return nil, compiler.StreamOptions{}, badRequest("%v", err)
 	}
 	return &JobSpec{Graph: g}, sopts, nil
 }

@@ -111,6 +111,7 @@ func TestHTTPStreamBadRequests(t *testing.T) {
 		"?router=stochastic",
 		"?window=0",
 		"?window=banana",
+		"?window=4611686018427387904",
 		"?seed=banana",
 		"?optimize=banana",
 		"?parallel=banana",

@@ -8,80 +8,54 @@ import (
 	"sync"
 
 	"trios/internal/circuit"
-	"trios/internal/decompose"
 	"trios/internal/qasm"
 	"trios/internal/sched"
 )
 
-// Compile runs a windowed compile: QASM read from src, compiled output
-// written to dst incrementally. Cancelling ctx aborts at the next window
-// boundary. See the package comment for the equivalence guarantees.
+// Compile runs a windowed compile: QASM read from src, each window passed
+// through cfg.Stages, and the output written to dst incrementally.
+// Cancelling ctx aborts at the next window boundary.
 func Compile(ctx context.Context, src io.Reader, dst io.Writer, cfg Config) (*Result, error) {
-	r, err := newRun(src, dst, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Parallel {
-		err = r.runParallel(ctx)
-	} else {
-		err = r.runSerial(ctx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return r.finish(), nil
-}
-
-// newRun validates the configuration and resolves the decomposition modes
-// the same way the monolithic pipeline does.
-func newRun(src io.Reader, dst io.Writer, cfg Config) (*run, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("stream: Config.Graph is required")
+	}
+	if err := CheckWindow(cfg.Window); err != nil {
+		return nil, err
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	r := &run{
-		cfg:    cfg,
-		g:      cfg.Graph,
-		out:    dst,
-		times:  cfg.Times,
-		byName: make(map[string]*StageMetric),
+	if cfg.Times == (sched.GateTimes{}) {
+		cfg.Times = sched.JohannesburgTimes()
 	}
-	if r.times == (sched.GateTimes{}) {
-		r.times = sched.JohannesburgTimes()
+	r := &run{cfg: cfg, reader: qasm.NewReader(src), out: dst}
+	steps := make([]func(*window) error, 0, len(cfg.Stages)+1)
+	for _, s := range cfg.Stages {
+		steps = append(steps, r.stage(s))
 	}
-	if cfg.TrioAware {
-		switch cfg.Mode {
-		case decompose.Auto, decompose.Six, decompose.Eight:
-			r.maMode = cfg.Mode
-		default:
-			return nil, fmt.Errorf("stream: unsupported toffoli mode %v", cfg.Mode)
-		}
+	steps = append(steps, r.emit)
+	var err error
+	if cfg.Parallel {
+		err = r.runParallel(ctx, steps)
 	} else {
-		r.frontMode = cfg.Mode
-		if r.frontMode == decompose.Auto {
-			r.frontMode = decompose.Six // Qiskit's default Toffoli expansion
-		}
+		err = r.runSerial(ctx, steps)
 	}
-	// Build the distance oracle up front so routing runs on table lookups
-	// and the one-time cost is not attributed to the first window.
-	r.g.EnsureOracle()
-	r.reader = qasm.NewReader(src)
-	return r, nil
-}
-
-// newWindow wraps a read gate slice with its trace span.
-func (r *run) newWindow(idx int, gates []circuit.Gate) *window {
-	sp := r.cfg.Span.Child("stream:window")
-	sp.SetAttr("window", strconv.Itoa(idx))
-	sp.SetAttr("gates.in", strconv.Itoa(len(gates)))
-	return &window{idx: idx, c: wrap(r.n, gates), span: sp}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		InputQubits:       r.n,
+		NumQubits:         cfg.Graph.NumQubits(),
+		InputGates:        r.read,
+		EmittedGates:      r.emitted,
+		Windows:           r.windows,
+		ScheduledDuration: r.makespan,
+	}, nil
 }
 
 // produce reads windows and hands each to sink until the stream ends.
-// Window 0 is always produced, even for a gate-less program, so the
-// placement and output header happen exactly once.
+// Window 0 is always produced, even for a gate-less program, so every stage
+// sees at least one window and the output header is written exactly once.
 func (r *run) produce(ctx context.Context, sink func(*window) error) error {
 	for idx := 0; ; idx++ {
 		if err := ctx.Err(); err != nil {
@@ -100,7 +74,10 @@ func (r *run) produce(ctx context.Context, sink func(*window) error) error {
 			return nil
 		}
 		r.windows = idx + 1
-		if err := sink(r.newWindow(idx, gates)); err != nil {
+		sp := r.cfg.Span.Child("stream:window")
+		sp.SetAttr("window", strconv.Itoa(idx))
+		sp.SetAttr("gates.in", strconv.Itoa(len(gates)))
+		if err := sink(&window{idx: idx, c: &circuit.Circuit{NumQubits: r.n, Gates: gates}, span: sp}); err != nil {
 			return err
 		}
 		if done {
@@ -109,12 +86,12 @@ func (r *run) produce(ctx context.Context, sink func(*window) error) error {
 	}
 }
 
-// runSerial drives every stage in one goroutine, window by window. This is
+// runSerial drives every step in one goroutine, window by window. This is
 // the reference ordering; the parallel driver must match it bit for bit.
-func (r *run) runSerial(ctx context.Context) error {
+func (r *run) runSerial(ctx context.Context, steps []func(*window) error) error {
 	return r.produce(ctx, func(w *window) error {
-		for _, stage := range []func(*window) error{r.stageFront, r.stageRoute, r.stageBack, r.stageEmit} {
-			if err := stage(w); err != nil {
+		for _, step := range steps {
+			if err := step(w); err != nil {
 				return err
 			}
 		}
@@ -122,75 +99,77 @@ func (r *run) runSerial(ctx context.Context) error {
 	})
 }
 
-// runParallel connects the stages with channels: read, decompose, route,
-// lower, and emit each own a goroutine, so one window decomposes while the
-// previous routes. Channel capacity 1 bounds the in-flight windows (and so
-// memory) to a small constant multiple of the window size; FIFO order
-// makes the result identical to runSerial at any core count, because every
-// stateful stage still sees windows in circuit order.
-func (r *run) runParallel(ctx context.Context) error {
+// runParallel connects the reader and the steps with channels, one
+// goroutine each, so one window is in an early stage while the previous is
+// in a later one. Channel capacity 1 bounds the in-flight windows (and so
+// memory) to a small constant multiple of the window size; FIFO order makes
+// the result identical to runSerial at any core count, because every step
+// still sees windows in circuit order. The first error cancels the chain,
+// and every goroutine has exited when runParallel returns.
+func (r *run) runParallel(ctx context.Context, steps []func(*window) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	chans := [4]chan *window{}
-	for i := range chans {
-		chans[i] = make(chan *window, 1)
+	errc := make(chan error, len(steps)+1)
+	fail := func(err error) {
+		errc <- err
+		cancel()
 	}
-	errc := make(chan error, 5)
 	var wg sync.WaitGroup
+	read := make(chan *window, 1)
 
-	// Producer: read windows into the chain.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer close(chans[0])
+		defer close(read)
 		err := r.produce(ctx, func(w *window) error {
 			select {
-			case chans[0] <- w:
+			case read <- w:
 				return nil
 			case <-ctx.Done():
 				return ctx.Err()
 			}
 		})
 		if err != nil {
-			errc <- err
-			cancel()
+			fail(err)
 		}
 	}()
 
-	// Middle and terminal stages.
-	mid := func(in <-chan *window, out chan<- *window, fn func(*window) error) {
-		defer wg.Done()
-		if out != nil {
-			defer close(out)
+	in := read
+	for i, step := range steps {
+		var out chan *window
+		if i+1 < len(steps) {
+			out = make(chan *window, 1)
 		}
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case w, ok := <-in:
-				if !ok {
+		wg.Add(1)
+		go func(in <-chan *window, out chan<- *window, step func(*window) error) {
+			defer wg.Done()
+			if out != nil {
+				defer close(out)
+			}
+			for {
+				select {
+				case <-ctx.Done():
 					return
-				}
-				if err := fn(w); err != nil {
-					errc <- err
-					cancel()
-					return
-				}
-				if out != nil {
-					select {
-					case out <- w:
-					case <-ctx.Done():
+				case w, ok := <-in:
+					if !ok {
 						return
+					}
+					if err := step(w); err != nil {
+						fail(err)
+						return
+					}
+					if out != nil {
+						select {
+						case out <- w:
+						case <-ctx.Done():
+							return
+						}
 					}
 				}
 			}
-		}
+		}(in, out, step)
+		in = out
 	}
-	wg.Add(4)
-	go mid(chans[0], chans[1], r.stageFront)
-	go mid(chans[1], chans[2], r.stageRoute)
-	go mid(chans[2], chans[3], r.stageBack)
-	go mid(chans[3], nil, r.stageEmit)
 
 	wg.Wait()
 	select {
@@ -199,38 +178,4 @@ func (r *run) runParallel(ctx context.Context) error {
 	default:
 	}
 	return ctx.Err()
-}
-
-// finish assembles the Result after a successful run: the routing
-// session(s) are closed, and in Six mode the fixup movement is composed
-// onto the main route's final placement exactly as FixupRoutePass does.
-func (r *run) finish() *Result {
-	res := &Result{
-		InputQubits:       r.n,
-		NumQubits:         r.g.NumQubits(),
-		InputGates:        r.read,
-		EmittedGates:      r.emitted,
-		Windows:           r.windows,
-		ScheduledDuration: r.makespan,
-		Initial:           r.init.VirtualToPhys(),
-	}
-	main := r.sess.Finish()
-	res.SwapsAdded = main.SwapsAdded
-	if r.fixup != nil {
-		fres := r.fixup.Finish()
-		res.SwapsAdded += fres.SwapsAdded
-		n := r.g.NumQubits()
-		final := make([]int, n)
-		for v := 0; v < n; v++ {
-			final[v] = fres.Final.Phys(main.Final.Phys(v))
-		}
-		res.Final = final
-	} else {
-		res.Final = main.Final.VirtualToPhys()
-	}
-	res.Stages = make([]StageMetric, len(r.metrics))
-	for i, m := range r.metrics {
-		res.Stages[i] = *m
-	}
-	return res
 }
