@@ -249,11 +249,11 @@ func main() {
 			os.Exit(1)
 		}
 		if !report.EquivalenceOK {
-			fmt.Fprintln(os.Stderr, "opt bench: a divergent cell failed statevector equivalence")
+			fmt.Fprintln(os.Stderr, "opt bench: a cell failed statevector equivalence")
 			os.Exit(1)
 		}
 		if report.SaturateWorse > 0 {
-			fmt.Fprintln(os.Stderr, "opt bench: the saturating engine regressed two-qubit counts vs legacy")
+			fmt.Fprintln(os.Stderr, "opt bench: the saturating engine regressed two-qubit counts vs the committed legacy counts")
 			os.Exit(1)
 		}
 		return

@@ -37,14 +37,27 @@ func TestOptimizeOptionPreservesSemantics(t *testing.T) {
 	}
 }
 
+// legacyTwoQubitCounts holds, per trial of
+// TestSaturateOptimizerNeverWorseThanLegacy, the compiled two-qubit count
+// the retired legacy cancel loop reached under {Conventional, Trios}. The
+// numbers were generated while that optimizer still existed.
+var legacyTwoQubitCounts = [...][2]int{
+	{205, 164},
+	{122, 105},
+	{164, 116},
+	{210, 141},
+	{191, 140},
+	{232, 177},
+}
+
 // TestSaturateOptimizerNeverWorseThanLegacy compiles redundancy-heavy random
-// circuits under both optimizer arms and asserts the saturating engine's
-// compiled two-qubit count never exceeds the legacy loop's — the engine's
-// rule table strictly extends what the legacy optimizer could cancel.
+// circuits and asserts the saturating engine's compiled two-qubit count
+// never exceeds the legacy loop's committed count — the engine's rule table
+// strictly extends what the legacy optimizer could cancel.
 func TestSaturateOptimizerNeverWorseThanLegacy(t *testing.T) {
 	g := topo.Grid(2, 3)
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 6; trial++ {
+	for trial, legacy := range legacyTwoQubitCounts {
 		c := circuit.New(5)
 		for i := 0; i < 15; i++ {
 			p := rng.Perm(5)
@@ -62,19 +75,15 @@ func TestSaturateOptimizerNeverWorseThanLegacy(t *testing.T) {
 				c.CCX(p[0], p[1], p[2])
 			}
 		}
-		for _, pipe := range []Pipeline{Conventional, TriosPipeline} {
+		for i, pipe := range []Pipeline{Conventional, TriosPipeline} {
 			sat, err := Compile(c, g, Options{Pipeline: pipe, Optimize: true, Seed: int64(trial)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			leg, err := Compile(c, g, Options{Pipeline: pipe, Optimize: true, Optimizer: OptimizerLegacy, Seed: int64(trial)})
-			if err != nil {
-				t.Fatal(err)
-			}
 			verifyCompiled(t, sat)
-			if sat.TwoQubitGates() > leg.TwoQubitGates() {
+			if sat.TwoQubitGates() > legacy[i] {
 				t.Errorf("trial %d/%v: saturate compiled to %d two-qubit gates, legacy to %d",
-					trial, pipe, sat.TwoQubitGates(), leg.TwoQubitGates())
+					trial, pipe, sat.TwoQubitGates(), legacy[i])
 			}
 		}
 	}

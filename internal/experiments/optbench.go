@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	_ "embed"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,8 +17,9 @@ import (
 )
 
 // OptBenchRow is one (benchmark, topology, pipeline) cell of the optimizer
-// comparison: the same program compiled with -optimize under the legacy
-// pairwise cancel loop and under the saturating rewrite engine.
+// comparison: the program compiled with -optimize under the saturating
+// rewrite engine, next to the counts the retired legacy pairwise cancel loop
+// reached on the same cell (committed in optbench_legacy.json).
 type OptBenchRow struct {
 	Benchmark string `json:"benchmark"`
 	Topology  string `json:"topology"`
@@ -28,11 +30,8 @@ type OptBenchRow struct {
 	LegacyTotal      int `json:"legacy_total"`
 	SaturateTotal    int `json:"saturate_total"`
 
-	// Divergent reports whether the two arms produced different compiled
-	// bytes; only divergent cells need (and get) a simulation check.
-	Divergent bool `json:"divergent,omitempty"`
 	// EquivalenceChecked / EquivalenceOK record the per-cell statevector
-	// verification of the saturate arm against the logical source.
+	// verification of the compiled circuit against the logical source.
 	EquivalenceChecked bool `json:"equivalence_checked,omitempty"`
 	EquivalenceOK      bool `json:"equivalence_ok,omitempty"`
 }
@@ -51,23 +50,22 @@ type OptBenchTemplateRow struct {
 }
 
 // OptBenchReport is the BENCH_optimize.json document the CI floor script
-// asserts over: per-cell two-qubit counts old-vs-new across the Table-1 grid
-// plus template-warm cold-compile latency.
+// asserts over: per-cell two-qubit counts against the committed legacy counts
+// across the Table-1 grid plus template-warm cold-compile latency.
 type OptBenchReport struct {
 	Seed  int64         `json:"seed"`
 	Short bool          `json:"short,omitempty"`
 	Rows  []OptBenchRow `json:"rows"`
 
 	// Cells counts grid cells; SaturateBetter/SaturateWorse/Equal partition
-	// them by two-qubit-count comparison against the legacy arm.
+	// them by two-qubit-count comparison against the committed legacy counts.
 	Cells          int `json:"cells"`
 	SaturateBetter int `json:"saturate_better"`
 	SaturateWorse  int `json:"saturate_worse"`
 	Equal          int `json:"equal"`
 
-	// EquivalenceOK is true when every checked divergent cell simulated
-	// equivalent to its logical source; EquivalenceChecked counts the cells
-	// that were verified.
+	// EquivalenceOK is true when every cell simulated equivalent to its
+	// logical source; EquivalenceChecked counts the cells that were verified.
 	EquivalenceChecked int  `json:"equivalence_checked"`
 	EquivalenceOK      bool `json:"equivalence_ok"`
 
@@ -110,18 +108,65 @@ func templateBenchNames(short bool) []string {
 	return []string{"cnx_dirty-11", "cnx_inplace-4", "cnx_logancilla-19", "qft_adder-16", "grovers-9"}
 }
 
+// legacyCellKey identifies one optimizer-grid cell in the committed legacy
+// table.
+type legacyCellKey struct{ benchmark, topology, pipeline string }
+
+// legacyCounts is one cell's compiled size under the retired legacy cancel
+// loop.
+type legacyCounts struct {
+	TwoQubit int `json:"legacy_two_qubit"`
+	Total    int `json:"legacy_total"`
+}
+
+// optBenchLegacyJSON is the legacy cancel loop's per-cell two-qubit and total
+// gate counts over the full Table-1 grid at seed 2021, generated while that
+// optimizer still existed. Short mode reads a subset of it.
+//
+//go:embed optbench_legacy.json
+var optBenchLegacyJSON []byte
+
+// loadLegacyCounts decodes the committed legacy table for seed; the table
+// only exists for the seed it was generated at.
+func loadLegacyCounts(seed int64) (map[legacyCellKey]legacyCounts, error) {
+	var doc struct {
+		Seed int64 `json:"seed"`
+		Rows []struct {
+			Benchmark string `json:"benchmark"`
+			Topology  string `json:"topology"`
+			Pipeline  string `json:"pipeline"`
+			legacyCounts
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(optBenchLegacyJSON, &doc); err != nil {
+		return nil, fmt.Errorf("experiments: decoding legacy counts: %w", err)
+	}
+	if seed != doc.Seed {
+		return nil, fmt.Errorf("experiments: the optimizer benchmark compares against legacy counts committed for seed %d only; got seed %d", doc.Seed, seed)
+	}
+	m := make(map[legacyCellKey]legacyCounts, len(doc.Rows))
+	for _, r := range doc.Rows {
+		m[legacyCellKey{r.Benchmark, r.Topology, r.Pipeline}] = r.legacyCounts
+	}
+	return m, nil
+}
+
 // RunOptBench compiles the Table-1 grid (benchmark x paper topology x
-// {baseline, trios} pipeline) with -optimize under both optimizer engines
-// and reports per-cell two-qubit counts, then times cold compiles of the
-// template-covered benchmarks against a warmed template store. Divergent
-// cells are statevector-verified (one random-state trial; the compiler's
-// own property tests carry the heavier multi-trial verification).
+// {baseline, trios} pipeline) with -optimize and reports per-cell two-qubit
+// counts against the committed legacy counts, then times cold compiles of
+// the template-covered benchmarks against a warmed template store. Every
+// cell is statevector-verified (one random-state trial; the compiler's own
+// property tests carry the heavier multi-trial verification).
 func RunOptBench(short bool, seed int64) (*OptBenchReport, error) {
+	legacy, err := loadLegacyCounts(seed)
+	if err != nil {
+		return nil, err
+	}
 	type cell struct {
 		bench benchmarks.Benchmark
 		input *circuit.Circuit
 		graph *topo.Graph
-		pipe  compiler.Pipeline
+		pipe  string
 	}
 	var cells []cell
 	var jobs []compiler.Job
@@ -137,18 +182,19 @@ func RunOptBench(short bool, seed int64) (*OptBenchReport, error) {
 	for _, b := range bs {
 		for _, g := range optBenchTopologies(short) {
 			for _, pipe := range []compiler.Pipeline{compiler.Conventional, compiler.TriosPipeline} {
-				cells = append(cells, cell{bench: b, input: inputs[b.Name], graph: g, pipe: pipe})
-				for _, engine := range []compiler.OptimizerKind{compiler.OptimizerLegacy, compiler.OptimizerSaturate} {
-					opts := pairOptions(pipe, seed)
-					opts.Optimize = true
-					opts.Optimizer = engine
-					jobs = append(jobs, compiler.Job{
-						ID:    fmt.Sprintf("%s %v/%v on %s", b.Name, pipe, engine, g.Name()),
-						Input: inputs[b.Name],
-						Graph: g,
-						Opts:  opts,
-					})
+				pipeName := "baseline"
+				if pipe == compiler.TriosPipeline {
+					pipeName = "trios"
 				}
+				cells = append(cells, cell{bench: b, input: inputs[b.Name], graph: g, pipe: pipeName})
+				opts := pairOptions(pipe, seed)
+				opts.Optimize = true
+				jobs = append(jobs, compiler.Job{
+					ID:    fmt.Sprintf("%s %v on %s", b.Name, pipe, g.Name()),
+					Input: inputs[b.Name],
+					Graph: g,
+					Opts:  opts,
+				})
 			}
 		}
 	}
@@ -158,46 +204,37 @@ func RunOptBench(short bool, seed int64) (*OptBenchReport, error) {
 	}
 	report := &OptBenchReport{Seed: seed, Short: short, EquivalenceOK: true}
 	for i, c := range cells {
-		leg, sat := rs[2*i], rs[2*i+1]
-		if leg.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", leg.Job.ID, leg.Err)
-		}
+		sat := rs[i]
 		if sat.Err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", sat.Job.ID, sat.Err)
-		}
-		if err := leg.Result.Verify(); err != nil {
-			return nil, err
 		}
 		if err := sat.Result.Verify(); err != nil {
 			return nil, err
 		}
-		pipeName := "baseline"
-		if c.pipe == compiler.TriosPipeline {
-			pipeName = "trios"
+		leg, ok := legacy[legacyCellKey{c.bench.Name, c.graph.Name(), c.pipe}]
+		if !ok {
+			return nil, fmt.Errorf("experiments: no committed legacy counts for %s", sat.Job.ID)
+		}
+		n := c.input.NumQubits
+		equivalent, err := sim.CompiledEquivalent(c.input, sat.Result.Physical, c.graph.NumQubits(),
+			sat.Result.Initial[:n], sat.Result.Final[:n], 1, seed)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: verifying %s: %w", sat.Job.ID, err)
 		}
 		row := OptBenchRow{
-			Benchmark:        c.bench.Name,
-			Topology:         c.graph.Name(),
-			Pipeline:         pipeName,
-			LegacyTwoQubit:   leg.Result.TwoQubitGates(),
-			SaturateTwoQubit: sat.Result.TwoQubitGates(),
-			LegacyTotal:      len(leg.Result.Physical.Gates),
-			SaturateTotal:    len(sat.Result.Physical.Gates),
-			Divergent:        !leg.Result.Physical.Equal(sat.Result.Physical),
+			Benchmark:          c.bench.Name,
+			Topology:           c.graph.Name(),
+			Pipeline:           c.pipe,
+			LegacyTwoQubit:     leg.TwoQubit,
+			SaturateTwoQubit:   sat.Result.TwoQubitGates(),
+			LegacyTotal:        leg.Total,
+			SaturateTotal:      len(sat.Result.Physical.Gates),
+			EquivalenceChecked: true,
+			EquivalenceOK:      equivalent,
 		}
-		if row.Divergent {
-			n := c.input.NumQubits
-			ok, err := sim.CompiledEquivalent(c.input, sat.Result.Physical, c.graph.NumQubits(),
-				sat.Result.Initial[:n], sat.Result.Final[:n], 1, seed)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: verifying %s: %w", sat.Job.ID, err)
-			}
-			row.EquivalenceChecked = true
-			row.EquivalenceOK = ok
-			report.EquivalenceChecked++
-			if !ok {
-				report.EquivalenceOK = false
-			}
+		report.EquivalenceChecked++
+		if !equivalent {
+			report.EquivalenceOK = false
 		}
 		report.Rows = append(report.Rows, row)
 		report.Cells++
@@ -325,7 +362,7 @@ func (r *OptBenchReport) WriteJSON(w io.Writer) error {
 // WriteText prints a human-readable summary: per-cell counts and the
 // template latency table.
 func (r *OptBenchReport) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "saturating rewrite engine vs legacy cancel loop (seed %d)\n", r.Seed)
+	fmt.Fprintf(w, "saturating rewrite engine vs committed legacy cancel-loop counts (seed %d)\n", r.Seed)
 	fmt.Fprintf(w, "%-26s %-13s %-9s %8s %9s %7s\n", "benchmark", "topology", "pipeline", "legacy2q", "saturate2q", "delta")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-26s %-13s %-9s %8d %9d %+7d\n",
@@ -334,7 +371,7 @@ func (r *OptBenchReport) WriteText(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\ncells %d  saturate better %d  equal %d  worse %d\n",
 		r.Cells, r.SaturateBetter, r.Equal, r.SaturateWorse)
-	fmt.Fprintf(w, "equivalence: %d divergent cells checked, all ok = %v\n",
+	fmt.Fprintf(w, "equivalence: %d cells checked, all ok = %v\n",
 		r.EquivalenceChecked, r.EquivalenceOK)
 	fmt.Fprintf(w, "\ntemplate-warm cold-compile latency (johannesburg)\n")
 	fmt.Fprintf(w, "%-26s %12s %12s %8s %9s\n", "benchmark", "cold", "warm", "speedup", "outcome")

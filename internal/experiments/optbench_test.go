@@ -3,17 +3,18 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
 // TestRunOptBenchShort runs the CI-sized optimizer grid and checks the
 // report's internal consistency plus the headline acceptance properties: the
 // saturating engine must never regress a cell's two-qubit count vs the
-// legacy arm, every divergent cell must verify equivalent, and the warmed
+// committed legacy count, every cell must verify equivalent, and the warmed
 // template path must be faster than the cold pipeline.
 func TestRunOptBenchShort(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles the grid twice per cell and statevector-verifies divergences")
+		t.Skip("compiles the grid and statevector-verifies every cell")
 	}
 	r, err := RunOptBench(true, 2021)
 	if err != nil {
@@ -25,25 +26,18 @@ func TestRunOptBenchShort(t *testing.T) {
 	if r.SaturateBetter+r.SaturateWorse+r.Equal != r.Cells {
 		t.Fatalf("partition %d+%d+%d != %d cells", r.SaturateBetter, r.SaturateWorse, r.Equal, r.Cells)
 	}
-	checked := 0
 	for _, row := range r.Rows {
 		if row.SaturateTwoQubit > row.LegacyTwoQubit {
 			t.Errorf("%s %s on %s: saturate %d > legacy %d two-qubit gates",
 				row.Benchmark, row.Pipeline, row.Topology, row.SaturateTwoQubit, row.LegacyTwoQubit)
 		}
-		if row.EquivalenceChecked {
-			checked++
-			if !row.EquivalenceOK {
-				t.Errorf("%s %s on %s: divergent cell failed equivalence",
-					row.Benchmark, row.Pipeline, row.Topology)
-			}
-		} else if row.Divergent {
-			t.Errorf("%s %s on %s: divergent cell was not checked",
-				row.Benchmark, row.Pipeline, row.Topology)
+		if !row.EquivalenceChecked || !row.EquivalenceOK {
+			t.Errorf("%s %s on %s: checked %v, equivalent %v",
+				row.Benchmark, row.Pipeline, row.Topology, row.EquivalenceChecked, row.EquivalenceOK)
 		}
 	}
-	if checked != r.EquivalenceChecked {
-		t.Fatalf("equivalence_checked %d, rows say %d", r.EquivalenceChecked, checked)
+	if r.EquivalenceChecked != r.Cells {
+		t.Fatalf("equivalence_checked %d, want every one of %d cells", r.EquivalenceChecked, r.Cells)
 	}
 	if !r.EquivalenceOK {
 		t.Fatal("report equivalence_ok is false")
@@ -81,5 +75,30 @@ func TestRunOptBenchShort(t *testing.T) {
 	}
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOptBenchLegacyTable checks the committed legacy table covers the full
+// grid at its seed, and that any other seed is refused rather than compared
+// against counts generated for a different compile.
+func TestOptBenchLegacyTable(t *testing.T) {
+	legacy, err := loadLegacyCounts(2021)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range optBenchBenchmarks(false) {
+		for _, g := range optBenchTopologies(false) {
+			for _, pipe := range []string{"baseline", "trios"} {
+				if _, ok := legacy[legacyCellKey{b.Name, g.Name(), pipe}]; !ok {
+					t.Errorf("no legacy counts for %s %s on %s", b.Name, pipe, g.Name())
+				}
+			}
+		}
+	}
+	if want := 88; len(legacy) != want {
+		t.Errorf("legacy table has %d cells, want %d", len(legacy), want)
+	}
+	if _, err := RunOptBench(true, 7); err == nil || !strings.Contains(err.Error(), "seed 2021") {
+		t.Errorf("seed 7: err = %v, want a committed-seed error", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"trios/internal/benchmarks"
 	"trios/internal/circuit"
-	"trios/internal/optimize"
 	"trios/internal/sim"
 )
 
@@ -366,23 +365,56 @@ func TestSaturateEquivalentOnRandomCircuits(t *testing.T) {
 	}
 }
 
+// legacyRandomCircuitCounts holds, per trial of
+// TestSaturateNeverWorseThanLegacyOnRandomCircuits, the lowered two-qubit
+// weight and one-qubit count the retired pairwise cancel loop
+// (CancelCommuting then Cancel) reached on that trial's circuit. The numbers
+// were generated while the loop still existed; they keep the comparison
+// exactly as strict without its code.
+var legacyRandomCircuitCounts = [...]struct{ twoQubitWeight, oneQubit int }{
+	{16, 27},
+	{32, 22},
+	{10, 15},
+	{37, 31},
+	{21, 18},
+	{43, 22},
+	{7, 18},
+	{10, 9},
+	{3, 7},
+	{25, 32},
+	{25, 5},
+	{21, 17},
+	{15, 22},
+	{36, 30},
+	{19, 23},
+	{8, 11},
+	{29, 26},
+	{11, 10},
+	{7, 9},
+	{37, 27},
+	{15, 8},
+	{31, 20},
+	{3, 3},
+	{33, 22},
+	{29, 34},
+}
+
 func TestSaturateNeverWorseThanLegacyOnRandomCircuits(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 25; i++ {
+	for i, legacy := range legacyRandomCircuitCounts {
 		n := 2 + rng.Intn(5)
 		c := randomCircuit(rng, n, 20+rng.Intn(100))
-		legacy := optimize.Cancel(optimize.CancelCommuting(c))
 		sat, _ := Saturate(c, Options{})
 		// Raw gate counts are not comparable (a SWAP the engine fused
 		// into two CX is one gate in legacy's output but three lowered
 		// CX); compare lowered two-qubit weight and one-qubit counts.
-		if ws, wl := loweredTwoQubitWeight(sat), loweredTwoQubitWeight(legacy); ws > wl {
-			t.Fatalf("trial %d: saturate two-qubit weight %d > legacy %d\n in: %v\nsat: %v\nleg: %v",
-				i, ws, wl, gatesOf(c), gatesOf(sat), gatesOf(legacy))
+		if ws := loweredTwoQubitWeight(sat); ws > legacy.twoQubitWeight {
+			t.Fatalf("trial %d: saturate two-qubit weight %d > legacy %d\n in: %v\nsat: %v",
+				i, ws, legacy.twoQubitWeight, gatesOf(c), gatesOf(sat))
 		}
-		if os, ol := oneQubitCount(sat), oneQubitCount(legacy); os > ol {
-			t.Fatalf("trial %d: saturate one-qubit count %d > legacy %d\n in: %v\nsat: %v\nleg: %v",
-				i, os, ol, gatesOf(c), gatesOf(sat), gatesOf(legacy))
+		if os := oneQubitCount(sat); os > legacy.oneQubit {
+			t.Fatalf("trial %d: saturate one-qubit count %d > legacy %d\n in: %v\nsat: %v",
+				i, os, legacy.oneQubit, gatesOf(c), gatesOf(sat))
 		}
 	}
 }

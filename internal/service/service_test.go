@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -46,6 +47,28 @@ func mustResolve(t *testing.T, req CompileRequest) *JobSpec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// TestCacheKeyGolden pins the default option fingerprint and one request's
+// artifact key as literal strings: a change to either orphans every stored
+// artifact and template digest, so it must be a deliberate edit here.
+func TestCacheKeyGolden(t *testing.T) {
+	opts, err := DefaultCompileOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantOpts = "pipeline=trios;router=direct;toffoli=auto;placement=greedy;seed=1;optimize=false;optimizer=saturate;layout=none;cost=uniform;cal=none;templates=none"
+	if got, err := opts.CacheKey(); err != nil || got != wantOpts {
+		t.Errorf("default CacheKey = %q, %v; want %q", got, err, wantOpts)
+	}
+	var req CompileRequest
+	if err := json.Unmarshal([]byte(`{"benchmark":"cnx_dirty-11","optimize":true,"seed":3}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	const wantKey = "sha256:d0d32af5ec5263c09cfcccb86483efc72c363e5539e94f50f77602d264343c4b"
+	if got := mustResolve(t, req).Key; got != wantKey {
+		t.Errorf("JobSpec.Key = %s, want %s", got, wantKey)
+	}
 }
 
 // TestServiceGoldenVsDirectCompile pins the serving layer's core contract:
