@@ -69,11 +69,11 @@ bench-kernels:
 bench-noise:
 	$(GO) run ./cmd/experiments -noise-bench BENCH_noise.json $(NOISE_BENCH_FLAGS)
 
-# Optimizer benchmark: legacy cancel loop vs the saturating rewrite engine
-# across the Table-1 grid (two-qubit counts old-vs-new, divergent cells
-# statevector-verified) plus template-warm cold-compile latency. Writes
+# Optimizer benchmark: the saturating rewrite engine vs the committed legacy
+# cancel-loop counts across the Table-1 grid (every cell statevector-
+# verified) plus template-warm cold-compile latency. Writes
 # BENCH_optimize.json and a BENCH_optimize.txt summary; exits nonzero if any
-# cell regresses vs legacy or a divergence fails equivalence.
+# cell exceeds its legacy count or fails equivalence.
 # OPT_BENCH_FLAGS=-opt-short shrinks it to the CI subset.
 bench-optimize:
 	$(BENCH_ENV) $(GO) run ./cmd/experiments -opt-bench BENCH_optimize.json $(OPT_BENCH_FLAGS) > BENCH_optimize.txt

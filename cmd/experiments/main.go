@@ -91,7 +91,7 @@ func main() {
 		kernelJSON  = flag.String("kernel-bench", "", "run only the kernel micro-benchmark (legacy vs branch-free arms of the route delta-scoring and dense sweep hot loops) and write its JSON report here (e.g. BENCH_kernels.json); a text summary goes to stdout")
 		noiseJSON   = flag.String("noise-bench", "", "run only the noise-aware sweep (uniform vs noise cost model under per-device calibrations) and write its JSON report here (e.g. BENCH_noise.json); a text summary goes to stdout")
 		noiseShort  = flag.Bool("noise-short", false, "shrink the noise-aware sweep to a CI-sized subset of benchmarks and topologies")
-		optJSON     = flag.String("opt-bench", "", "run only the optimizer benchmark (legacy cancel loop vs saturating rewrite engine across the Table-1 grid, plus template-warm cold-compile latency) and write its JSON report here (e.g. BENCH_optimize.json); a text summary goes to stdout")
+		optJSON     = flag.String("opt-bench", "", "run only the optimizer benchmark (saturating rewrite engine vs committed legacy cancel-loop counts across the Table-1 grid, plus template-warm cold-compile latency) and write its JSON report here (e.g. BENCH_optimize.json); a text summary goes to stdout")
 		optShort    = flag.Bool("opt-short", false, "shrink the optimizer benchmark to a CI-sized subset of benchmarks and topologies")
 		streamJSON  = flag.String("stream-bench", "", "run only the streaming-compile benchmark (serial vs pipelined window drivers plus subprocess peak-RSS samples on generated million-gate streams) and write its JSON report here (e.g. BENCH_stream.json); a text summary goes to stdout")
 		streamShort = flag.Bool("stream-short", false, "shrink the streaming benchmark to CI-sized gate counts")

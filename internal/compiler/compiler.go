@@ -92,33 +92,6 @@ func (r RouterKind) String() string {
 	return "direct"
 }
 
-// OptimizerKind selects which gate-optimization engine the Optimize flag
-// runs. It only matters when Options.Optimize is true.
-type OptimizerKind int
-
-const (
-	// OptimizerSaturate is the default: the worklist rewrite engine
-	// (internal/rewrite) saturates a declarative rule table to a fixpoint —
-	// inverse cancellation across commuting windows, axis-family rotation
-	// merging with 2π normalization, CP/CZ canonicalization, SWAP and
-	// Toffoli absorptions, and Hadamard conjugations — in amortized
-	// O(gates·rules). It runs on the input, again on the routed circuit
-	// (adjacency-gated so rewrites never un-route), and on the lowered
-	// output interleaved with 1q consolidation.
-	OptimizerSaturate OptimizerKind = iota
-	// OptimizerLegacy is the pre-rewrite-engine golden arm: the quadratic
-	// rescan-and-recurse Cancel/CancelCommuting loop plus output
-	// consolidation, preserved bit-for-bit for regression comparison.
-	OptimizerLegacy
-)
-
-func (o OptimizerKind) String() string {
-	if o == OptimizerLegacy {
-		return "legacy"
-	}
-	return "saturate"
-}
-
 // Options configures a compilation.
 type Options struct {
 	Pipeline Pipeline
@@ -136,14 +109,14 @@ type Options struct {
 	InitialLayout []int
 	// Seed drives stochastic routing tie-breaks and random placement.
 	Seed int64
-	// Optimize enables commutation-free gate cancellation and rotation
-	// merging (§2.4), applied to the input and again to the compiled
-	// circuit where routing may have created adjacent inverse pairs.
+	// Optimize enables the saturating rewrite engine (internal/rewrite):
+	// inverse cancellation across commuting windows, rotation merging with
+	// 2π normalization, CP/CZ canonicalization, SWAP and Toffoli
+	// absorptions, and Hadamard conjugations, saturated to a fixpoint. It
+	// runs on the input, again on the routed circuit (adjacency-gated so
+	// rewrites never un-route), and on the lowered output interleaved with
+	// 1q consolidation.
 	Optimize bool
-	// Optimizer picks the optimization engine Optimize runs: the saturating
-	// rewrite engine (default) or the legacy cancel loop kept as a golden
-	// arm. Ignored when Optimize is false.
-	Optimizer OptimizerKind
 	// Calibration, when non-nil, is the device characterization driving the
 	// compile: unless CostModel overrides it, layout and routing weigh edges
 	// by the calibration's -log CNOT success rates, and the pipeline ends
@@ -155,11 +128,6 @@ type Options struct {
 	// identical output) while still reporting calibrated fidelity stats —
 	// the control arm of every noise-aware comparison.
 	CostModel device.CostModel
-	// NoiseWeight is the legacy function-valued noise hook, kept for ad-hoc
-	// weight landscapes: when non-nil, routing and placement weigh edges by
-	// weight(a, b). Such options have no CacheKey; prefer Calibration.
-	// Setting it together with CostModel is an error.
-	NoiseWeight func(a, b int) float64
 	// Templates, when non-nil, is consulted before the pipeline runs: a
 	// source holding precompiled fragments for this (input, device, option)
 	// combination can serve or stitch the result without paying the full
@@ -185,20 +153,16 @@ type TemplateSource interface {
 }
 
 // costModel resolves the effective cost model: an explicit CostModel wins,
-// then the legacy NoiseWeight shim, then the calibration's shared noise
-// model, then Uniform (hop counts — the legacy noise-blind behavior).
-func (o Options) costModel() (device.CostModel, error) {
+// then the calibration's shared noise model, then Uniform (hop counts — the
+// noise-blind behavior).
+func (o Options) costModel() device.CostModel {
 	switch {
-	case o.CostModel != nil && o.NoiseWeight != nil:
-		return nil, fmt.Errorf("compiler: set either CostModel or NoiseWeight, not both")
 	case o.CostModel != nil:
-		return o.CostModel, nil
-	case o.NoiseWeight != nil:
-		return device.NewWeightFunc(o.NoiseWeight), nil
+		return o.CostModel
 	case o.Calibration != nil:
-		return device.NoiseFor(o.Calibration), nil
+		return device.NoiseFor(o.Calibration)
 	default:
-		return device.Uniform{}, nil
+		return device.Uniform{}
 	}
 }
 
@@ -255,17 +219,37 @@ func CompileContext(ctx context.Context, input *circuit.Circuit, g *topo.Graph, 
 	return compileFrom(ctx, input, nil, nil, g, opts)
 }
 
+// CheckInitialLayout reports whether an explicit logical->physical
+// assignment fits the device: no longer than the device, every entry a
+// device qubit, no physical qubit used twice.
+func CheckInitialLayout(initial []int, g *topo.Graph) error {
+	switch {
+	case len(initial) == 0:
+		return nil // nothing to check, and no allocation
+	case len(initial) > g.NumQubits():
+		return fmt.Errorf("compiler: initial layout has %d entries, device %s has %d qubits", len(initial), g.Name(), g.NumQubits())
+	}
+	used := make([]bool, g.NumQubits())
+	for v, p := range initial {
+		switch {
+		case p < 0 || p >= g.NumQubits():
+			return fmt.Errorf("compiler: initial layout entry %d->%d is not a qubit of device %s (0..%d)", v, p, g.Name(), g.NumQubits()-1)
+		case used[p]:
+			return fmt.Errorf("compiler: initial layout entry %d->%d reuses physical qubit %d", v, p, p)
+		}
+		used[p] = true
+	}
+	return nil
+}
+
 func initialLayout(c *circuit.Circuit, g *topo.Graph, opts Options, cm device.CostModel) (*layout.Layout, error) {
 	if opts.InitialLayout != nil {
+		if err := CheckInitialLayout(opts.InitialLayout, g); err != nil {
+			return nil, err
+		}
 		v2p := make([]int, g.NumQubits())
 		used := make([]bool, g.NumQubits())
-		if len(opts.InitialLayout) > g.NumQubits() {
-			return nil, fmt.Errorf("compiler: initial layout longer than device")
-		}
 		for v, p := range opts.InitialLayout {
-			if p < 0 || p >= g.NumQubits() || used[p] {
-				return nil, fmt.Errorf("compiler: bad initial layout entry %d->%d", v, p)
-			}
 			v2p[v] = p
 			used[p] = true
 		}

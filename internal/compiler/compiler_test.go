@@ -6,6 +6,7 @@ import (
 
 	"trios/internal/circuit"
 	"trios/internal/decompose"
+	"trios/internal/device"
 	"trios/internal/sim"
 	"trios/internal/topo"
 )
@@ -225,7 +226,7 @@ func TestNoiseAwareCompilation(t *testing.T) {
 	weight := func(a, b int) float64 { return 1 }
 	c := circuit.New(3)
 	c.CCX(0, 1, 2)
-	res, err := Compile(c, g, Options{Pipeline: TriosPipeline, NoiseWeight: weight})
+	res, err := Compile(c, g, Options{Pipeline: TriosPipeline, CostModel: device.NewWeightFunc(weight)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"trios/internal/circuit"
 	"trios/internal/decompose"
 	"trios/internal/layout"
-	"trios/internal/optimize"
 	"trios/internal/route"
 	"trios/internal/topo"
 )
@@ -25,19 +24,20 @@ func legacyCompile(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result
 	if err := input.Validate(); err != nil {
 		return nil, err
 	}
-	source := input
+	// Optimize-on output is pinned by TestCompileOptimizeDigests instead:
+	// the pre-refactor optimizer is retired.
 	if opts.Optimize {
-		source = optimize.CancelCommuting(input)
+		return nil, fmt.Errorf("compiler: legacyCompile has no optimizer")
 	}
 	var res *Result
 	var err error
 	switch opts.Pipeline {
 	case Conventional:
-		res, err = legacyCompileConventional(source, g, opts)
+		res, err = legacyCompileConventional(input, g, opts)
 	case TriosPipeline:
-		res, err = legacyCompileTrios(source, g, opts)
+		res, err = legacyCompileTrios(input, g, opts)
 	case GroupsPipeline:
-		res, err = legacyCompileGroups(source, g, opts)
+		res, err = legacyCompileGroups(input, g, opts)
 	default:
 		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
 	}
@@ -45,14 +45,6 @@ func legacyCompile(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result
 		return nil, err
 	}
 	res.Input = input
-	if opts.Optimize {
-		cleaned := optimize.CancelCommuting(res.Physical)
-		consolidated, err := optimize.Consolidate1Q(cleaned)
-		if err != nil {
-			return nil, err
-		}
-		res.Physical = consolidated
-	}
 	return res, nil
 }
 
@@ -65,10 +57,7 @@ func legacyCompileConventional(input *circuit.Circuit, g *topo.Graph, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	init, err := initialLayout(decomposed, g, opts, cm)
 	if err != nil {
 		return nil, err
@@ -100,10 +89,7 @@ func legacyCompileTrios(input *circuit.Circuit, g *topo.Graph, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	init, err := initialLayout(kept, g, opts, cm)
 	if err != nil {
 		return nil, err
@@ -122,7 +108,7 @@ func legacyCompileTrios(input *circuit.Circuit, g *topo.Graph, opts Options) (*R
 		if err != nil {
 			return nil, err
 		}
-		fixRouter := &route.Baseline{Seed: opts.Seed + 1, Weight: opts.NoiseWeight}
+		fixRouter := &route.Baseline{Seed: opts.Seed + 1}
 		fixed, err := fixRouter.Route(second, g, layout.Identity(g.NumQubits()))
 		if err != nil {
 			return nil, err
@@ -170,10 +156,7 @@ func legacyCompileGroups(input *circuit.Circuit, g *topo.Graph, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	init, err := initialLayout(kept, g, opts, cm)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"trios/internal/circuit"
+	"trios/internal/device"
 	"trios/internal/noise"
 	"trios/internal/topo"
 )
@@ -30,7 +31,7 @@ func TestNoiseAwareRoutingAvoidsHotEdges(t *testing.T) {
 	}
 	aware, err := Compile(src, g, Options{
 		Pipeline: Conventional, InitialLayout: init, Seed: 2,
-		NoiseWeight: em.RouteWeight(),
+		CostModel: device.NewWeightFunc(em.RouteWeight()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestNoiseAwareTrioRouting(t *testing.T) {
 	res, err := Compile(src, g, Options{
 		Pipeline:      TriosPipeline,
 		InitialLayout: []int{0, 8, 6},
-		NoiseWeight:   em.RouteWeight(),
+		CostModel:     device.NewWeightFunc(em.RouteWeight()),
 		Seed:          5,
 	})
 	if err != nil {
@@ -97,7 +98,7 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 	aware, err := Compile(src, g, Options{
 		Pipeline:      TriosPipeline,
 		InitialLayout: []int{2, 11, 15},
-		NoiseWeight:   em.RouteWeight(),
+		CostModel:     device.NewWeightFunc(em.RouteWeight()),
 		Seed:          8,
 	})
 	if err != nil {
@@ -142,22 +143,22 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 	}
 }
 
-// TestStochasticAndLookaheadAcceptNoiseWeights: since the unified cost
+// TestStochasticAndLookaheadAcceptWeightedCostModels: since the unified cost
 // layer, every router scores against the weighted-path tables — the
 // stochastic and lookahead strategies included. The compiled circuits must
 // stay legal and verified under weights.
-func TestStochasticAndLookaheadAcceptNoiseWeights(t *testing.T) {
+func TestStochasticAndLookaheadAcceptWeightedCostModels(t *testing.T) {
 	g := topo.Grid(3, 3)
 	em := noise.SyntheticCalibration(g, 0.01, 0.6, 2, 9)
 	src := circuit.New(4)
 	src.CX(0, 3).CCX(0, 1, 2).CX(2, 3).CX(0, 2)
 	for _, router := range []RouterKind{RouteStochastic, RouteLookahead} {
 		res, err := Compile(src, g, Options{
-			Pipeline:    TriosPipeline,
-			Router:      router,
-			Placement:   PlaceGreedy,
-			NoiseWeight: em.RouteWeight(),
-			Seed:        3,
+			Pipeline:  TriosPipeline,
+			Router:    router,
+			Placement: PlaceGreedy,
+			CostModel: device.NewWeightFunc(em.RouteWeight()),
+			Seed:      3,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", router, err)
@@ -181,7 +182,7 @@ func TestLookaheadNoiseAwareAvoidsHotEdge(t *testing.T) {
 	aware, err := Compile(src, g, Options{
 		Pipeline: Conventional, Router: RouteLookahead,
 		InitialLayout: init, Seed: 2,
-		NoiseWeight: em.RouteWeight(),
+		CostModel: device.NewWeightFunc(em.RouteWeight()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +225,7 @@ func TestStochasticNoiseAwareImprovesSuccess(t *testing.T) {
 		aware, err := Compile(src, g, Options{
 			Pipeline: Conventional, Router: RouteStochastic,
 			InitialLayout: init, Seed: seed,
-			NoiseWeight: em.RouteWeight(),
+			CostModel: device.NewWeightFunc(em.RouteWeight()),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -94,18 +94,6 @@ func ResolveCalibration(name, cost string) (*device.Calibration, device.CostMode
 	return cal, cm, nil
 }
 
-// ParseOptimizer resolves an optimization engine: saturate (the rewrite
-// engine, also the default for "") or legacy (the golden-arm cancel loop).
-func ParseOptimizer(s string) (OptimizerKind, error) {
-	switch s {
-	case "", "saturate":
-		return OptimizerSaturate, nil
-	case "legacy":
-		return OptimizerLegacy, nil
-	}
-	return 0, fmt.Errorf("compiler: unknown optimizer %q (want saturate or legacy)", s)
-}
-
 // ParseToffoli resolves a Toffoli decomposition mode: auto, 6, or 8.
 func ParseToffoli(s string) (decompose.ToffoliMode, error) {
 	switch s {
@@ -144,23 +132,18 @@ func (p Placement) String() string {
 // compile with and without a calibration (identical QASM, different stats
 // block) also key apart.
 //
-// Options carrying a NoiseWeight function have no canonical serialization
-// and return an error: callers must compile those uncached.
+// A cost model without a canonical serialization (device.WeightFunc) has no
+// key and returns an error: callers must compile those uncached.
 func (o Options) CacheKey() (string, error) {
-	if o.NoiseWeight != nil {
-		return "", fmt.Errorf("compiler: options with a NoiseWeight function have no cache key")
-	}
-	cm, err := o.costModel()
-	if err != nil {
-		return "", err
-	}
-	costKey, err := cm.CacheKey()
+	costKey, err := o.costModel().CacheKey()
 	if err != nil {
 		return "", fmt.Errorf("compiler: options have no cache key: %w", err)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline=%s;router=%s;toffoli=%s;placement=%s;seed=%d;optimize=%t;optimizer=%s;layout=",
-		o.Pipeline, o.Router, o.Mode, o.Placement, o.Seed, o.Optimize, o.Optimizer)
+	// The optimizer segment is a constant: the saturating engine is the only
+	// optimizer, and keeping the segment keeps every stored key valid.
+	fmt.Fprintf(&b, "pipeline=%s;router=%s;toffoli=%s;placement=%s;seed=%d;optimize=%t;optimizer=saturate;layout=",
+		o.Pipeline, o.Router, o.Mode, o.Placement, o.Seed, o.Optimize)
 	if o.InitialLayout == nil {
 		b.WriteString("none")
 	} else {

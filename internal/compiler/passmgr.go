@@ -112,15 +112,11 @@ func NewPass(name string, fn func(ctx *PassContext, c *circuit.Circuit) error) P
 // pipelines driven outside compileFrom (tests, custom pass lists) need no
 // setup. Resolution is sticky: every pass of one compilation scores against
 // the same model instance and its memoized tables.
-func (ctx *PassContext) costModel() (device.CostModel, error) {
+func (ctx *PassContext) costModel() device.CostModel {
 	if ctx.Cost == nil {
-		cm, err := ctx.Opts.costModel()
-		if err != nil {
-			return nil, err
-		}
-		ctx.Cost = cm
+		ctx.Cost = ctx.Opts.costModel()
 	}
-	return ctx.Cost, nil
+	return ctx.Cost
 }
 
 // routerWeights unpacks a cost model into the weight function and memoized
@@ -267,11 +263,7 @@ func PlacePass() Pass {
 		if ctx.Init != nil {
 			return nil
 		}
-		cm, err := ctx.costModel()
-		if err != nil {
-			return err
-		}
-		init, err := initialLayout(c, ctx.Graph, ctx.Opts, cm)
+		init, err := initialLayout(c, ctx.Graph, ctx.Opts, ctx.costModel())
 		if err != nil {
 			return err
 		}
@@ -328,11 +320,7 @@ func routeWindow(ctx *PassContext, sess **route.Session, newRouter func() (route
 func RoutePass(trioAware bool) Pass {
 	return NewPass("route:main", func(ctx *PassContext, c *circuit.Circuit) error {
 		final, err := routeWindow(ctx, &ctx.mainRoute, func() (route.Router, error) {
-			cm, err := ctx.costModel()
-			if err != nil {
-				return nil, err
-			}
-			return pickRouter(ctx.Opts, trioAware, cm, ctx.Graph)
+			return pickRouter(ctx.Opts, trioAware, ctx.costModel(), ctx.Graph)
 		}, ctx.Init, c)
 		if err != nil {
 			return err
@@ -391,11 +379,7 @@ func FixupRoutePass(r func(ctx *PassContext) (route.Router, error)) Pass {
 // patches the non-adjacent CNOTs a forced 6-CNOT decomposition leaves. It
 // scores against the same cost model as the main routing pass.
 func baselineFixupRouter(ctx *PassContext) (route.Router, error) {
-	cm, err := ctx.costModel()
-	if err != nil {
-		return nil, err
-	}
-	w, oracle := routerWeights(cm, ctx.Graph)
+	w, oracle := routerWeights(ctx.costModel(), ctx.Graph)
 	return &route.Baseline{Seed: ctx.Opts.Seed + 1, Weight: w, Oracle: oracle}, nil
 }
 
@@ -408,29 +392,6 @@ func triosFixupRouter(ctx *PassContext) (route.Router, error) {
 }
 
 // ---- Optimize passes ----
-
-// OptimizeInputPass cancels commuting inverse pairs and merges rotations on
-// the source circuit before decomposition.
-func OptimizeInputPass() Pass {
-	return NewPass("optimize:input", func(ctx *PassContext, c *circuit.Circuit) error {
-		ctx.Circuit = optimize.CancelCommuting(c)
-		return nil
-	})
-}
-
-// OptimizeOutputPass re-runs cancellation on the compiled circuit (routing
-// can create adjacent inverse pairs) and consolidates 1-qubit runs.
-func OptimizeOutputPass() Pass {
-	return NewPass("optimize:output", func(ctx *PassContext, c *circuit.Circuit) error {
-		cleaned := optimize.CancelCommuting(c)
-		consolidated, err := optimize.Consolidate1Q(cleaned)
-		if err != nil {
-			return err
-		}
-		ctx.Circuit = consolidated
-		return nil
-	})
-}
 
 // SaturateInputPass runs the worklist rewrite engine on the source circuit
 // before decomposition: cancellations, rotation merges, and structural
@@ -536,11 +497,7 @@ func StatsPass() Pass {
 func FrontPasses(opts Options) ([]Pass, error) {
 	var ps []Pass
 	if opts.Optimize {
-		if opts.Optimizer == OptimizerLegacy {
-			ps = append(ps, OptimizeInputPass())
-		} else {
-			ps = append(ps, SaturateInputPass())
-		}
+		ps = append(ps, SaturateInputPass())
 	}
 	switch opts.Pipeline {
 	case Conventional:
@@ -566,11 +523,10 @@ func FrontPasses(opts Options) ([]Pass, error) {
 // opts: placement, routing, second decomposition, lowering, and output
 // optimization.
 func BackPasses(opts Options) ([]Pass, error) {
-	// Under the saturating optimizer a routed-circuit rewrite pass runs just
-	// before lowering, where SWAPs and intact Toffolis are still visible.
-	saturating := opts.Optimize && opts.Optimizer != OptimizerLegacy
+	// Under Optimize a routed-circuit rewrite pass runs just before
+	// lowering, where SWAPs and intact Toffolis are still visible.
 	lower := []Pass{LowerPass()}
-	if saturating {
+	if opts.Optimize {
 		lower = []Pass{SaturateRoutedPass(), LowerPass()}
 	}
 	var ps []Pass
@@ -603,11 +559,7 @@ func BackPasses(opts Options) ([]Pass, error) {
 		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
 	}
 	if opts.Optimize {
-		if opts.Optimizer == OptimizerLegacy {
-			ps = append(ps, OptimizeOutputPass())
-		} else {
-			ps = append(ps, SaturateOutputPass())
-		}
+		ps = append(ps, SaturateOutputPass())
 	}
 	if opts.Calibration != nil {
 		ps = append(ps, FidelityPass(opts.Calibration))
@@ -661,10 +613,7 @@ func checkFits(input *circuit.Circuit, g *topo.Graph) error {
 // noise model missing couplings would otherwise surface as unreachable-path
 // routing failures deep inside a pass.
 func resolveCost(opts Options, g *topo.Graph) (device.CostModel, error) {
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	if opts.Calibration != nil {
 		if err := opts.Calibration.CheckGraph(g); err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"trios/internal/benchmarks"
 	"trios/internal/decompose"
+	"trios/internal/device"
 	"trios/internal/topo"
 )
 
@@ -60,9 +61,9 @@ func TestCacheKeyStability(t *testing.T) {
 	}
 	// Function-valued options have no canonical form.
 	v = a
-	v.NoiseWeight = func(x, y int) float64 { return 1 }
+	v.CostModel = device.NewWeightFunc(func(x, y int) float64 { return 1 })
 	if _, err := v.CacheKey(); err == nil {
-		t.Fatal("expected an error for NoiseWeight options")
+		t.Fatal("expected an error for a function-valued cost model")
 	}
 }
 

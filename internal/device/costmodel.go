@@ -137,8 +137,8 @@ func NoiseFor(cal *Calibration) *Noise {
 }
 
 // WeightFunc adapts an arbitrary edge-weight function to the CostModel
-// interface — the compatibility shim behind the legacy compiler.Options
-// NoiseWeight field. It memoizes oracles like Noise but has no canonical
+// interface, for ad-hoc weight landscapes (compiler.Options{CostModel:
+// NewWeightFunc(fn)}). It memoizes oracles like Noise but has no canonical
 // cache identity.
 type WeightFunc struct {
 	oc oracleCache

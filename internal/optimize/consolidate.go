@@ -1,3 +1,7 @@
+// Package optimize holds single-qubit run consolidation, the pass that
+// resynthesizes each run of 1-qubit gates into at most one u-gate. Gate
+// cancellation and rotation merging live in the saturating rewrite engine
+// (internal/rewrite).
 package optimize
 
 import (

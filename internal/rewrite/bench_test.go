@@ -6,16 +6,15 @@ import (
 	"time"
 
 	"trios/internal/circuit"
-	"trios/internal/optimize"
 )
 
 // onion builds a palindrome cancellation chain: the first half is random CX
 // gates over a dozen qubits, the second half the same gates in reverse
 // order, so the circuit is the identity — but only cancellable from the
-// middle outward, one nesting level at a time. This is the adversarial
-// shape for the legacy Cancel loop: each fixpoint round only exposes the
-// next innermost pair and recurses on the whole circuit, with a backward
-// rebuildLast scan per removal — quadratic overall. The worklist engine
+// middle outward, one nesting level at a time. This was the adversarial
+// shape for the retired pairwise cancel loop: each fixpoint round only
+// exposed the next innermost pair and recursed on the whole circuit, with a
+// backward scan per removal — quadratic overall. The worklist engine
 // retires the chain in near-linear time, re-enqueueing only the gates
 // adjacent to each removal. (CX-only on purpose: a random 1q palindrome
 // can merge itself into mixed-axis runs that need full matrix
@@ -42,7 +41,7 @@ func onion(n int) *circuit.Circuit {
 // TestCancelChain50kBoundedTime is the regression pin for the quadratic
 // legacy behavior: a 50k-gate cancellation onion must saturate to empty in
 // bounded time. The budget is generous (the engine does this in
-// milliseconds; the legacy loop needs minutes) so slow CI hosts don't
+// milliseconds; the retired loop needed minutes) so slow CI hosts don't
 // flake.
 func TestCancelChain50kBoundedTime(t *testing.T) {
 	c := onion(50_000)
@@ -69,13 +68,13 @@ func BenchmarkSaturateOnion50k(b *testing.B) {
 	}
 }
 
-// tombChain is the shape that exposes the legacy rebuildLast pathology:
-// repeated blocks of [x(0), (h(1)·h(1))×9, x(0)]. The h pairs cancel
-// immediately and become tombstones; each x-pair cancellation then makes
-// rebuildLast scan backward over every dead slot below it looking for a
-// live qubit-0 gate, so legacy Cancel goes quadratic (~3.4x time per 2x
-// size) while the wire-list engine — whose qubit-0 links skip the dead
-// zone entirely — stays linear.
+// tombChain is the shape that exposed the retired cancel loop's tombstone
+// pathology: repeated blocks of [x(0), (h(1)·h(1))×9, x(0)]. The h pairs
+// cancel immediately and become tombstones; each x-pair cancellation then
+// made the loop scan backward over every dead slot below it looking for a
+// live qubit-0 gate, going quadratic (~3.4x time per 2x size), while the
+// wire-list engine — whose qubit-0 links skip the dead zone entirely —
+// stays linear.
 func tombChain(n int) *circuit.Circuit {
 	c := circuit.New(2)
 	for len(c.Gates)+20 <= n {
@@ -87,22 +86,6 @@ func tombChain(n int) *circuit.Circuit {
 		c.Append(circuit.NewGate(circuit.X, []int{0}))
 	}
 	return c
-}
-
-func BenchmarkLegacyCancelTombChain20k(b *testing.B) {
-	c := tombChain(20_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		optimize.Cancel(c)
-	}
-}
-
-func BenchmarkLegacyCancelTombChain40k(b *testing.B) {
-	c := tombChain(40_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		optimize.Cancel(c)
-	}
 }
 
 func BenchmarkSaturateTombChain20k(b *testing.B) {

@@ -1,9 +1,9 @@
 // Package rewrite implements a rule-driven gate-rewrite engine that
 // saturates a circuit to a fixpoint under a declarative rule table, in the
 // style of equality-saturation optimizers (Diospyros, ASPLOS'21): instead of
-// the legacy optimize.Cancel loop — which rescans the whole circuit and
-// recurses whenever any pair fired, going quadratic on long cancellation
-// chains — the engine keeps every gate in a doubly-linked wire list per
+// rescanning the whole circuit and recursing whenever any pair fired (the
+// retired pairwise cancel loop, quadratic on long cancellation chains),
+// the engine keeps every gate in a doubly-linked wire list per
 // qubit and drives a worklist: when a rewrite removes or replaces a gate,
 // only the gates adjacent to the change are re-enqueued. Each rule either
 // deletes nodes or replaces a gate in place with a gate on a subset of its
@@ -11,9 +11,8 @@
 // result is deterministic for a fixed rule table and pop order.
 //
 // Every rule preserves the circuit's unitary exactly or up to global phase
-// (Rule.Exact distinguishes the two); divergences from the legacy optimizer
-// are therefore sim-verifiable with the engine's equivalence checker, which
-// compares up to global phase. A rewrite budget bounds total work at
+// (Rule.Exact distinguishes the two), so every rewrite is sim-verifiable
+// with the engine's equivalence checker, which compares up to global phase. A rewrite budget bounds total work at
 // O(gates·rules) amortized: each application strictly decreases gate count
 // or merges two gates into one, and the budget guard stops pathological rule
 // tables from cycling.

@@ -367,8 +367,9 @@ func TestSaturateEquivalentOnRandomCircuits(t *testing.T) {
 
 // legacyRandomCircuitCounts holds, per trial of
 // TestSaturateNeverWorseThanLegacyOnRandomCircuits, the lowered two-qubit
-// weight and one-qubit count the retired pairwise cancel loop
-// (CancelCommuting then Cancel) reached on that trial's circuit. The numbers
+// weight and one-qubit count the retired pairwise cancel loop (its
+// commutation-aware pass, then its adjacent-pair pass) reached on that
+// trial's circuit. The numbers
 // were generated while the loop still existed; they keep the comparison
 // exactly as strict without its code.
 var legacyRandomCircuitCounts = [...]struct{ twoQubitWeight, oneQubit int }{

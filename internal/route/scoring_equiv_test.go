@@ -41,7 +41,7 @@ func randMixedCircuit(rng *rand.Rand, n, gates int, withCCX bool) *circuit.Circu
 	return c
 }
 
-func equivNoiseWeight(a, b int) float64 {
+func equivEdgeWeight(a, b int) float64 {
 	if a > b {
 		a, b = b, a
 	}
@@ -57,7 +57,7 @@ func equivNoiseWeight(a, b int) float64 {
 // contents, and every float comparison.
 func TestBranchlessScoringMatchesLegacy(t *testing.T) {
 	devices := []*topo.Graph{topo.Johannesburg(), topo.Grid5x4(), topo.Line20(), topo.Clusters5x4()}
-	weights := map[string]func(a, b int) float64{"hops": nil, "noise": equivNoiseWeight}
+	weights := map[string]func(a, b int) float64{"hops": nil, "noise": equivEdgeWeight}
 	for _, g := range devices {
 		n := g.NumQubits()
 		for wname, w := range weights {

@@ -92,6 +92,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"no input", `{}`},
 		{"bad topology", `{"benchmark": "bv-20", "topology": "moebius"}`},
 		{"bad qasm", `{"qasm": "this is not qasm"}`},
+		{"legacy optimizer", `{"benchmark": "bv-20", "optimizer": "legacy"}`},
+		{"duplicate initial layout", `{"benchmark": "bv-20", "initial_layout": [5, 5]}`},
+		{"initial layout off the device", `{"benchmark": "bv-20", "initial_layout": [99]}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))

@@ -38,9 +38,10 @@ type CompileRequest struct {
 	// the CLI's default of 1.
 	Seed     *int64 `json:"seed,omitempty"`
 	Optimize bool   `json:"optimize,omitempty"`
-	// Optimizer selects the optimization engine when Optimize is set:
-	// "saturate" (default — the worklist rewrite engine) or "legacy" (the
-	// pre-rewrite-engine cancel loop, kept as a golden arm).
+	// Optimizer names the optimization engine. The saturating rewrite
+	// engine is the only one, so "" and "saturate" are accepted and key
+	// identically; "legacy" (the retired pairwise cancel loop) and any
+	// other value are a 400. The field only validates client input.
 	Optimizer string `json:"optimizer,omitempty"`
 	// Calibration names a registry calibration (see GET /v1/calibrations).
 	// When set, the compile is calibration-parameterized: routing and
@@ -104,6 +105,9 @@ func Resolve(req CompileRequest) (*JobSpec, error) {
 	opts, err := resolveOptions(req)
 	if err != nil {
 		return nil, err
+	}
+	if err := compiler.CheckInitialLayout(opts.InitialLayout, g); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	canon, err := qasm.Emit(input)
 	if err != nil {
@@ -199,8 +203,12 @@ func resolveOptions(req CompileRequest) (compiler.Options, error) {
 	if opts.Placement, err = compiler.ParsePlacement(orDefault(req.Placement, "greedy")); err != nil {
 		return opts, badRequest("%v", err)
 	}
-	if opts.Optimizer, err = compiler.ParseOptimizer(req.Optimizer); err != nil {
-		return opts, badRequest("%v", err)
+	switch req.Optimizer {
+	case "", "saturate":
+	case "legacy":
+		return opts, badRequest("optimizer %q was removed: the saturating rewrite engine is the only optimizer (send \"saturate\" or omit the field)", req.Optimizer)
+	default:
+		return opts, badRequest("unknown optimizer %q (the only optimizer is saturate)", req.Optimizer)
 	}
 	opts.Seed = 1 // the trios CLI's default seed
 	if req.Seed != nil {

@@ -114,6 +114,7 @@ func TestHTTPStreamBadRequests(t *testing.T) {
 		"?window=4611686018427387904",
 		"?seed=banana",
 		"?optimize=banana",
+		"?optimizer=legacy",
 		"?parallel=banana",
 	} {
 		resp, body := postStream(t, ts, q, strings.NewReader("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n"))

@@ -14,9 +14,9 @@ import (
 	"trios/internal/template"
 )
 
-// TestOptimizerWireField pins the optimizer enum on the wire: the two engines
-// key apart (so their artifacts never alias), the default is the saturating
-// engine, and an unknown value is a 400.
+// TestOptimizerWireField pins the optimizer enum on the wire: an absent
+// optimizer and "saturate" key identically, and the retired "legacy" engine
+// and an unknown value are each a 400 that names the only optimizer.
 func TestOptimizerWireField(t *testing.T) {
 	base := CompileRequest{Benchmark: "cnx_dirty-11", Topology: "grid", Pipeline: "trios", Optimize: true, Seed: seedp(3)}
 	def := mustResolve(t, base)
@@ -26,16 +26,17 @@ func TestOptimizerWireField(t *testing.T) {
 	if got := mustResolve(t, sat); got.Key != def.Key {
 		t.Fatalf("explicit saturate keys differently from the default: %s vs %s", got.Key, def.Key)
 	}
-	leg := base
-	leg.Optimizer = "legacy"
-	if got := mustResolve(t, leg); got.Key == def.Key {
-		t.Fatal("legacy optimizer shares the saturate artifact key")
-	}
 
 	_, ts := newTestServer(t)
-	resp := postCompile(t, ts, CompileRequest{Benchmark: "bv-20", Optimizer: "aggressive"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown optimizer: status = %d, want 400", resp.StatusCode)
+	for _, optimizer := range []string{"legacy", "aggressive"} {
+		resp := postCompile(t, ts, CompileRequest{Benchmark: "bv-20", Optimizer: optimizer})
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("optimizer %q: status = %d, want 400", optimizer, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), "saturate") {
+			t.Errorf("optimizer %q: error %q does not name the saturating engine", optimizer, body)
+		}
 	}
 }
 
