@@ -182,11 +182,7 @@ func RunOptBench(short bool, seed int64) (*OptBenchReport, error) {
 	for _, b := range bs {
 		for _, g := range optBenchTopologies(short) {
 			for _, pipe := range []compiler.Pipeline{compiler.Conventional, compiler.TriosPipeline} {
-				pipeName := "baseline"
-				if pipe == compiler.TriosPipeline {
-					pipeName = "trios"
-				}
-				cells = append(cells, cell{bench: b, input: inputs[b.Name], graph: g, pipe: pipeName})
+				cells = append(cells, cell{bench: b, input: inputs[b.Name], graph: g, pipe: pipe.String()})
 				opts := pairOptions(pipe, seed)
 				opts.Optimize = true
 				jobs = append(jobs, compiler.Job{
