@@ -40,55 +40,65 @@ bench:
 bench-route:
 	$(GO) test -run '^$$' -bench 'Router|Distances|ShortestPath|Weighted|Oracle' -benchmem ./internal/route/... ./internal/topo/...
 
+# Every cmd/experiments -bench run writes BENCH_<name>.json, prints its text
+# summary, and exits nonzero if the report misses any floor in
+# internal/experiments/floors.go, so each target below fails by itself.
+
 # Emit the machine-readable compile-path benchmark for the perf trajectory.
+# Floors: serial and parallel drains identical; parallel_speedup measured
+# (not suppressed).
 bench-json:
-	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench-json BENCH_compile.json
+	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench compile
 
 # Simulation-engine benchmark: legacy full-scan kernels vs fused branch-free
 # kernels (serial + parallel), serial Monte-Carlo vs the parallel trajectory
 # backend, and dense vs stabilizer on a 20-qubit Clifford verification.
 # Writes BENCH_sim.json and a BENCH_sim.txt summary. (Redirect, not tee: a
-# pipe would swallow the benchmark's exit status and let a determinism
-# failure pass CI.)
+# pipe would swallow the benchmark's exit status and let a floor failure pass
+# CI.) Floors: parallel paths identical to serial; parallel_speedup measured,
+# and >= 1.2 on multi-core hosts.
 bench-sim:
-	$(BENCH_ENV) $(GO) run ./cmd/experiments -sim-bench BENCH_sim.json > BENCH_sim.txt
+	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench sim > BENCH_sim.txt
 	cat BENCH_sim.txt
 
 # Kernel micro-benchmark: the preserved legacy arms (branchy delta-scoring,
 # full-scan gate loops) vs the branch-free slab/kernel rewrites, old-vs-new
 # in one report. Writes BENCH_kernels.json and a BENCH_kernels.txt summary.
+# Floors: every new arm identical to its legacy arm; route_stochastic,
+# route_lookahead and dense_sweep speedups each >= 1.2.
 bench-kernels:
-	$(BENCH_ENV) $(GO) run ./cmd/experiments -kernel-bench BENCH_kernels.json > BENCH_kernels.txt
+	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench kernels > BENCH_kernels.txt
 	cat BENCH_kernels.txt
 
 # Noise-aware sweep: the benchmark suite compiled under per-device
 # calibrations with the Uniform vs Noise cost models, evaluated on estimated
-# success. Writes BENCH_noise.json and prints the comparison; exits nonzero
-# if the noise-aware arm loses on mean. NOISE_BENCH_FLAGS=-noise-short
-# shrinks it to the CI subset.
+# success. Writes BENCH_noise.json and prints the comparison. Floors: mean
+# noise-aware success >= mean uniform success; geomean ratio not NaN.
+# NOISE_BENCH_FLAGS=-short shrinks it to the CI subset.
 bench-noise:
-	$(GO) run ./cmd/experiments -noise-bench BENCH_noise.json $(NOISE_BENCH_FLAGS)
+	$(GO) run ./cmd/experiments -bench noise $(NOISE_BENCH_FLAGS)
 
 # Optimizer benchmark: the saturating rewrite engine vs the committed legacy
 # cancel-loop counts across the Table-1 grid (every cell statevector-
 # verified) plus template-warm cold-compile latency. Writes
-# BENCH_optimize.json and a BENCH_optimize.txt summary; exits nonzero if any
-# cell exceeds its legacy count or fails equivalence.
-# OPT_BENCH_FLAGS=-opt-short shrinks it to the CI subset.
+# BENCH_optimize.json and a BENCH_optimize.txt summary. Floors: no cell
+# above its legacy two-qubit count; saturate_better >= 8; every cell
+# equivalent; template_min_speedup >= 1.5. OPT_BENCH_FLAGS=-short shrinks it
+# to the CI subset (16 cells, 9 strictly better).
 bench-optimize:
-	$(BENCH_ENV) $(GO) run ./cmd/experiments -opt-bench BENCH_optimize.json $(OPT_BENCH_FLAGS) > BENCH_optimize.txt
+	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench optimize $(OPT_BENCH_FLAGS) > BENCH_optimize.txt
 	cat BENCH_optimize.txt
 
 # Streaming-compile benchmark: the serial vs channel-pipelined window
 # drivers on a generated million-gate Clifford+T stream (bit-identical
 # outputs asserted in-run), plus subprocess peak-RSS samples showing memory
 # is governed by the window, not the circuit length. Writes
-# BENCH_stream.json and a BENCH_stream.txt summary; exits nonzero if the
-# streamed output diverges from the monolithic golden arm or peak RSS
-# exceeds the window budget. STREAM_BENCH_FLAGS=-stream-short shrinks the
-# gate counts for CI.
+# BENCH_stream.json and a BENCH_stream.txt summary. Floors: streamed output
+# equivalent to the monolithic golden arm; peak RSS within the window budget;
+# pipeline_vs_serial_speedup >= 1.2 on multi-core hosts.
+# STREAM_BENCH_FLAGS=-short shrinks the gate counts for CI.
 bench-stream:
-	$(BENCH_ENV) $(GO) run ./cmd/experiments -stream-bench BENCH_stream.json $(STREAM_BENCH_FLAGS) > BENCH_stream.txt
+	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench stream $(STREAM_BENCH_FLAGS) > BENCH_stream.txt
 	cat BENCH_stream.txt
 
 # Streaming-parser fuzz: FuzzStreamParse holds the pull-based QASM reader to
@@ -130,8 +140,9 @@ bench-fleet:
 
 # Observability-cost benchmark: serve the same daemon with tracing off, then
 # on (the default), drive the identical mix against each, and write
-# BENCH_obs.json with tracing_on_vs_off_ratio. Fails if tracing costs more
-# than 5% of throughput (OBS_MIN_RATIO) or the trace ring comes back empty.
+# BENCH_obs.json with tracing_on_vs_off_ratio. loadgen fails the run if
+# tracing costs more than 5% of throughput, the trace ring comes back empty,
+# the on phase recorded no traced requests, or the off phase recorded any.
 # TRIOSD_RACE=-race instruments the daemon for the CI smoke.
 bench-obs:
 	$(BENCH_ENV) sh scripts/bench_obs.sh

@@ -11,15 +11,19 @@
 //	experiments -exp fig1,fig6,fig7,fig8,fig9,fig10,fig11,fig12
 //	experiments -triplets 35 -shots 8192 -seed 2021
 //	experiments -exp mc-toffoli,mc-rp -mc-shots 128   # trajectory Monte-Carlo suites
-//	experiments -bench-json BENCH_compile.json
-//	experiments -sim-bench BENCH_sim.json
-//	experiments -stream-bench BENCH_stream.json
+//	experiments -bench compile          # writes BENCH_compile.json
+//	experiments -bench stream -short     # writes BENCH_stream.json
+//
+// -bench runs one benchmark, writes its report to BENCH_<name>.json, prints
+// a text summary, and exits 1 if the report misses any of its floors
+// (internal/experiments/floors.go).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -75,6 +79,69 @@ func streamRSSExec(p experiments.StreamRSSParams) (int64, error) {
 	return rss, nil
 }
 
+// benchNames lists the -bench values; each writes BENCH_<name>.json.
+var benchNames = []string{"compile", "sim", "kernels", "noise", "optimize", "stream"}
+
+// benchReport is what every -bench report offers the driver.
+type benchReport interface {
+	WriteText(io.Writer)
+	Check() error
+}
+
+// newBench runs the named benchmark; an unknown name fails before any work.
+func newBench(name string, short bool, workers int, seed int64) (benchReport, error) {
+	switch name {
+	case "compile":
+		return experiments.RunCompileBench(workers, seed)
+	case "sim":
+		return experiments.RunSimBench(workers, seed)
+	case "kernels":
+		return experiments.RunKernelBench(seed)
+	case "noise":
+		return experiments.RunNoiseBench(short, seed)
+	case "optimize":
+		return experiments.RunOptBench(short, seed)
+	case "stream":
+		return experiments.RunStreamBench(experiments.StreamBenchOptions{
+			Seed:    seed,
+			Short:   short,
+			RSSExec: streamRSSExec,
+		})
+	}
+	return nil, fmt.Errorf("unknown -bench %q; want one of %s", name, strings.Join(benchNames, ", "))
+}
+
+// runBench runs one benchmark, writes BENCH_<name>.json and the text
+// summary, and returns the report's floor violations.
+func runBench(name string, short bool, workers int, seed int64) error {
+	report, err := newBench(name, short, workers, seed)
+	if err != nil {
+		return err
+	}
+	path := "BENCH_" + name + ".json"
+	if err := writeJSONFile(path, report); err != nil {
+		return err
+	}
+	report.WriteText(os.Stdout)
+	if err := report.Check(); err != nil {
+		return fmt.Errorf("%s misses its floors:\n%w", path, err)
+	}
+	return nil
+}
+
+// writeJSONFile writes report to path as indented JSON.
+func writeJSONFile(path string, report any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := experiments.WriteJSON(f, report); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func main() {
 	if raw := os.Getenv(streamRSSChildEnv); raw != "" {
 		streamRSSChild(raw)
@@ -86,15 +153,8 @@ func main() {
 		seed        = flag.Int64("seed", 2021, "random seed")
 		jsonPath    = flag.String("json", "", "also write all results as JSON to this file")
 		workers     = flag.Int("workers", 0, "parallel compilation workers (0 = GOMAXPROCS)")
-		benchJSON   = flag.String("bench-json", "", "run only the compile-path benchmark and write its JSON report here (e.g. BENCH_compile.json)")
-		simJSON     = flag.String("sim-bench", "", "run only the simulation-engine benchmark and write its JSON report here (e.g. BENCH_sim.json); a text summary goes to stdout")
-		kernelJSON  = flag.String("kernel-bench", "", "run only the kernel micro-benchmark (legacy vs branch-free arms of the route delta-scoring and dense sweep hot loops) and write its JSON report here (e.g. BENCH_kernels.json); a text summary goes to stdout")
-		noiseJSON   = flag.String("noise-bench", "", "run only the noise-aware sweep (uniform vs noise cost model under per-device calibrations) and write its JSON report here (e.g. BENCH_noise.json); a text summary goes to stdout")
-		noiseShort  = flag.Bool("noise-short", false, "shrink the noise-aware sweep to a CI-sized subset of benchmarks and topologies")
-		optJSON     = flag.String("opt-bench", "", "run only the optimizer benchmark (saturating rewrite engine vs committed legacy cancel-loop counts across the Table-1 grid, plus template-warm cold-compile latency) and write its JSON report here (e.g. BENCH_optimize.json); a text summary goes to stdout")
-		optShort    = flag.Bool("opt-short", false, "shrink the optimizer benchmark to a CI-sized subset of benchmarks and topologies")
-		streamJSON  = flag.String("stream-bench", "", "run only the streaming-compile benchmark (serial vs pipelined window drivers plus subprocess peak-RSS samples on generated million-gate streams) and write its JSON report here (e.g. BENCH_stream.json); a text summary goes to stdout")
-		streamShort = flag.Bool("stream-short", false, "shrink the streaming benchmark to CI-sized gate counts")
+		bench       = flag.String("bench", "", "run only this benchmark ("+strings.Join(benchNames, ", ")+"), write its report to BENCH_<name>.json and a summary to stdout, and exit 1 if it misses a floor")
+		short       = flag.Bool("short", false, "shrink the noise, optimize and stream benchmarks to CI-sized subsets")
 		mcShots     = flag.Int("mc-shots", 64, "trajectory Monte-Carlo shots for the mc-toffoli/mc-rp experiments")
 		mcTrips     = flag.Int("mc-triplets", 4, "random triplets for the mc-toffoli experiment")
 		showVersion = flag.Bool("version", false, "print build version and exit")
@@ -106,188 +166,10 @@ func main() {
 	}
 	experiments.Workers = *workers
 
-	if *simJSON != "" {
-		report, err := experiments.RunSimBench(*workers, *seed)
-		if err != nil {
+	if *bench != "" {
+		if err := runBench(*bench, *short, *workers, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		f, err := os.Create(*simJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.WriteText(os.Stdout)
-		if !report.Deterministic {
-			fmt.Fprintln(os.Stderr, "sim bench: parallel paths diverged from serial results")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *kernelJSON != "" {
-		report, err := experiments.RunKernelBench(*seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*kernelJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.WriteText(os.Stdout)
-		if !report.Identical {
-			fmt.Fprintln(os.Stderr, "kernel bench: a branch-free arm diverged from its legacy arm")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *streamJSON != "" {
-		report, err := experiments.RunStreamBench(experiments.StreamBenchOptions{
-			Seed:    *seed,
-			Short:   *streamShort,
-			RSSExec: streamRSSExec,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*streamJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.WriteText(os.Stdout)
-		if !report.EquivalenceOK {
-			fmt.Fprintln(os.Stderr, "stream bench: streaming output diverged from the monolithic golden arm")
-			os.Exit(1)
-		}
-		if report.PeakRSSBytes > report.WindowBudgetBytes {
-			fmt.Fprintln(os.Stderr, "stream bench: peak RSS exceeded the window budget")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *noiseJSON != "" {
-		report, err := experiments.RunNoiseBench(*noiseShort, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*noiseJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if report.MeanNoise < report.MeanUniform {
-			fmt.Fprintln(os.Stderr, "noise bench: noise-aware mean success fell below the uniform control")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *optJSON != "" {
-		report, err := experiments.RunOptBench(*optShort, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*optJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if !report.EquivalenceOK {
-			fmt.Fprintln(os.Stderr, "opt bench: a cell failed statevector equivalence")
-			os.Exit(1)
-		}
-		if report.SaturateWorse > 0 {
-			fmt.Fprintln(os.Stderr, "opt bench: the saturating engine regressed two-qubit counts vs the committed legacy counts")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		report, err := experiments.RunCompileBench(*workers, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if !report.Deterministic {
-			fmt.Fprintln(os.Stderr, "compile bench: serial and parallel drains diverged")
-			os.Exit(1)
-		}
-		if report.SpeedupNote != "" {
-			fmt.Printf("wrote %s (%d jobs, route %.3fs; %s)\n",
-				*benchJSON, report.Runs[0].Jobs, report.RouteSeconds, report.SpeedupNote)
-		} else {
-			fmt.Printf("wrote %s (%d jobs, route %.3fs, %.2fx parallel speedup with %d workers)\n",
-				*benchJSON, report.Runs[0].Jobs, report.RouteSeconds, report.Speedup, report.Runs[1].Workers)
 		}
 		return
 	}
@@ -298,16 +180,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeJSONFile(*jsonPath, report); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

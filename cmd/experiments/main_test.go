@@ -64,3 +64,21 @@ func TestUnknownExperimentFails(t *testing.T) {
 		t.Fatal("bad flag should exit non-zero")
 	}
 }
+
+func TestUnknownBenchFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the experiments binary")
+	}
+	bin := buildExperiments(t)
+	cmd := exec.Command(bin, "-bench", "nosuch")
+	cmd.Dir = t.TempDir()
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("-bench nosuch exited zero:\n%s", out)
+	}
+	for _, want := range []string{`unknown -bench "nosuch"`, "compile, sim, kernels, noise, optimize, stream"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -13,7 +13,8 @@
 // from phases "fleet" and "single", warm_restart_hit_rate from phase "warm",
 // tracing_on_vs_off_ratio from phases "obs-on" and "obs-off". The
 // -min-hit-rate, -min-disk-hits, -min-speedup, and -min-tracing-ratio flags
-// turn the run into an assertion, for CI.
+// turn the run into an assertion, for CI; -min-tracing-ratio also requires
+// the obs-on phase to be traced and the obs-off phase not.
 //
 // Tracing-aware runs: each response's X-Trios-Trace is recorded, the report
 // carries the trace ID of the slowest observed request (slowest_trace, for
@@ -97,7 +98,7 @@ func main() {
 	flag.Float64Var(&opts.minHitRate, "min-hit-rate", -1, "fail unless this run's cache hit rate (disk hits included) reaches this fraction")
 	flag.IntVar(&opts.minDiskHits, "min-disk-hits", -1, "fail unless this run observed at least this many disk-tier (hit-disk) responses")
 	flag.Float64Var(&opts.minSpeedup, "min-speedup", -1, "fail unless fleet_vs_single_speedup (needs phases fleet and single) reaches this")
-	flag.Float64Var(&opts.minTracingRatio, "min-tracing-ratio", -1, "fail unless tracing_on_vs_off_ratio (needs phases obs-on and obs-off) reaches this")
+	flag.Float64Var(&opts.minTracingRatio, "min-tracing-ratio", -1, "fail unless tracing_on_vs_off_ratio (needs phases obs-on and obs-off) reaches this, obs-on recorded traced requests and a slowest trace, and obs-off recorded none")
 	flag.BoolVar(&opts.checkTraces, "check-traces", false, "after the run, fetch /debug/traces and fail unless a non-empty slowest trace was retained")
 	flag.IntVar(&opts.streamGates, "stream-gates", 0, "drive POST /v1/compile/stream with generated circuits of this many gates instead of the JSON mix (0 = off)")
 	flag.StringVar(&opts.streamKind, "stream-kind", "cliffordt", "generated stream workload: qaoa or cliffordt (with -stream-gates)")
@@ -581,11 +582,20 @@ func assert(opts options, rep *Report, fleet *FleetReport) error {
 		fmt.Printf("loadgen: fleet_vs_single_speedup %.2fx (>= %.2f required)\n", fleet.FleetVsSingleSpeedup, opts.minSpeedup)
 	}
 	if opts.minTracingRatio >= 0 {
-		if fleet == nil || fleet.TracingOnVsOffRatio == 0 {
+		if fleet == nil || fleet.Phases["obs-on"] == nil || fleet.Phases["obs-off"] == nil || fleet.TracingOnVsOffRatio == 0 {
 			return fmt.Errorf("-min-tracing-ratio needs phases %q and %q in the fleet report", "obs-on", "obs-off")
 		}
 		if fleet.TracingOnVsOffRatio < opts.minTracingRatio {
 			return fmt.Errorf("tracing_on_vs_off_ratio %.3f below -min-tracing-ratio %.3f", fleet.TracingOnVsOffRatio, opts.minTracingRatio)
+		}
+		// The ratio compares a traced phase with an untraced one only if
+		// the phases really were: on traced end to end, off not at all.
+		on, off := fleet.Phases["obs-on"], fleet.Phases["obs-off"]
+		if on.TracedRequests < 1 || on.SlowestTrace == "" {
+			return fmt.Errorf("obs-on phase was not traced end to end (traced_requests %d, slowest_trace %q)", on.TracedRequests, on.SlowestTrace)
+		}
+		if off.TracedRequests != 0 {
+			return fmt.Errorf("obs-off phase traced %d requests (traced_requests must be 0)", off.TracedRequests)
 		}
 		fmt.Printf("loadgen: tracing_on_vs_off_ratio %.3f (>= %.3f required)\n", fleet.TracingOnVsOffRatio, opts.minTracingRatio)
 	}

@@ -133,11 +133,47 @@ func TestAssertThresholds(t *testing.T) {
 		t.Fatal("-min-tracing-ratio without obs phases must fail")
 	}
 	fleet.TracingOnVsOffRatio = 0.97
+	fleet.Phases = obsPhases(3, "aa11", 0)
 	if err := assert(options{minHitRate: -1, minDiskHits: -1, minSpeedup: -1, minTracingRatio: 0.95}, rep, fleet); err != nil {
 		t.Fatal(err)
 	}
 	if err := assert(options{minHitRate: -1, minDiskHits: -1, minSpeedup: -1, minTracingRatio: 0.99}, rep, fleet); err == nil {
 		t.Fatal("ratio 0.97 passed -min-tracing-ratio 0.99")
+	}
+}
+
+// obsPhases builds the obs-on and obs-off phases of a tracing-cost report.
+func obsPhases(onTraced int, slowest string, offTraced int) map[string]*Report {
+	on, off := phaseReport(196, 0.5), phaseReport(200, 0.5)
+	on.TracedRequests, on.SlowestTrace = onTraced, slowest
+	off.TracedRequests = offTraced
+	return map[string]*Report{"obs-on": on, "obs-off": off}
+}
+
+// TestAssertObsPhases: -min-tracing-ratio holds only when the obs-on phase
+// was traced end to end and the obs-off phase not at all.
+func TestAssertObsPhases(t *testing.T) {
+	opts := options{minHitRate: -1, minDiskHits: -1, minSpeedup: -1, minTracingRatio: 0.95}
+	rep := phaseReport(196, 0.5)
+	for _, tc := range []struct {
+		name   string
+		phases map[string]*Report
+		want   string // "" means assert must pass
+	}{
+		{"traced on, untraced off", obsPhases(3, "aa11", 0), ""},
+		{"on phase untraced", obsPhases(0, "aa11", 0), "obs-on phase was not traced"},
+		{"on phase without slowest trace", obsPhases(3, "", 0), "obs-on phase was not traced"},
+		{"off phase traced", obsPhases(3, "aa11", 2), "obs-off phase traced 2 requests"},
+		{"off phase missing", map[string]*Report{"obs-on": obsPhases(3, "aa11", 0)["obs-on"]}, "needs phases"},
+	} {
+		fleet := &FleetReport{Phases: tc.phases, TracingOnVsOffRatio: 0.98}
+		err := assert(opts, rep, fleet)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -158,12 +157,13 @@ func RunCompileBench(workers int, seed int64) (*CompileBenchReport, error) {
 	return report, nil
 }
 
-// WriteJSON serializes the report with stable indentation.
-func (r *CompileBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("experiments: encoding compile bench: %w", err)
+// WriteText prints a one-line summary.
+func (r *CompileBenchReport) WriteText(w io.Writer) {
+	if r.SpeedupNote != "" {
+		fmt.Fprintf(w, "compile bench: %d jobs, route %.3fs; %s\n",
+			r.Runs[0].Jobs, r.RouteSeconds, r.SpeedupNote)
+		return
 	}
-	return nil
+	fmt.Fprintf(w, "compile bench: %d jobs, route %.3fs, %.2fx parallel speedup with %d workers\n",
+		r.Runs[0].Jobs, r.RouteSeconds, r.Speedup, r.Runs[1].Workers)
 }

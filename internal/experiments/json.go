@@ -108,12 +108,13 @@ func BuildReport(triplets, shots int, seed int64) (*Report, error) {
 	return r, nil
 }
 
-// WriteJSON serializes a report with stable indentation.
-func (r *Report) WriteJSON(w io.Writer) error {
+// WriteJSON serializes a report (this package's Report or any BENCH_*.json
+// report) with stable indentation.
+func WriteJSON(w io.Writer, report any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("experiments: encoding report: %w", err)
+	if err := enc.Encode(report); err != nil {
+		return fmt.Errorf("experiments: encoding %T: %w", report, err)
 	}
 	return nil
 }

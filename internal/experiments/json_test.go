@@ -25,7 +25,7 @@ func TestBuildReportAndSerialize(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	// Round-trip.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -388,16 +387,6 @@ func RunKernelBench(seed int64) (*KernelBenchReport, error) {
 	return report, nil
 }
 
-// WriteJSON serializes the report with stable indentation.
-func (r *KernelBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("experiments: encoding kernel bench: %w", err)
-	}
-	return nil
-}
-
 // WriteText prints a human-readable summary.
 func (r *KernelBenchReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Kernel micro-benchmark (seed %d, GOMAXPROCS %d, NumCPU %d)\n", r.Seed, r.GOMAXPROCS, r.NumCPU)
@@ -412,7 +401,4 @@ func (r *KernelBenchReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "unrolled sweep speedup (legacy/new, 12q):  %.2fx\n", r.UnrolledSweepSpeedup)
 	fmt.Fprintf(w, "dense sweep speedup (legacy/fused, 16q):   %.2fx\n", r.DenseSweep16Speedup)
 	fmt.Fprintf(w, "dense sweep speedup (legacy/engine, 16q):  %.2fx at %d workers\n", r.DenseSweep16ParSpeedup, r.GOMAXPROCS)
-	if !r.Identical {
-		fmt.Fprintln(w, "WARNING: a new arm diverged from its legacy arm")
-	}
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"trios/internal/benchmarks"
 	"trios/internal/compiler"
@@ -205,18 +203,8 @@ func RunNoiseBench(short bool, seed int64) (*NoiseBenchReport, error) {
 	return report, nil
 }
 
-// WriteJSON serializes the report with stable indentation.
-func (r *NoiseBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("experiments: encoding noise bench: %w", err)
-	}
-	return nil
-}
-
 // WriteText prints a human-readable summary table.
-func (r *NoiseBenchReport) WriteText(w io.Writer) error {
+func (r *NoiseBenchReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "noise-aware vs uniform cost model (seed %d, evaluation at %gx improved calibration)\n",
 		r.Seed, r.Improvement)
 	fmt.Fprintf(w, "%-26s %-13s %10s %10s %10s %8s\n", "benchmark", "topology", "uniform", "noise", "ratio", "swaps")
@@ -232,10 +220,6 @@ func (r *NoiseBenchReport) WriteText(w io.Writer) error {
 	if r.Note != "" {
 		fmt.Fprintf(w, "note: %s\n", r.Note)
 	}
-	if math.IsNaN(r.GeoMeanRatio) {
-		return fmt.Errorf("experiments: geomean ratio is NaN")
-	}
-	return nil
 }
 
 func safeRatio(a, b float64) float64 {

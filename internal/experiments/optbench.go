@@ -49,8 +49,8 @@ type OptBenchTemplateRow struct {
 	Outcome string `json:"outcome"`
 }
 
-// OptBenchReport is the BENCH_optimize.json document the CI floor script
-// asserts over: per-cell two-qubit counts against the committed legacy counts
+// OptBenchReport is the BENCH_optimize.json document its Check holds to the
+// optimizer floors: per-cell two-qubit counts against the committed legacy counts
 // across the Table-1 grid plus template-warm cold-compile latency.
 type OptBenchReport struct {
 	Seed  int64         `json:"seed"`
@@ -71,7 +71,7 @@ type OptBenchReport struct {
 
 	TemplateRows []OptBenchTemplateRow `json:"template_rows"`
 	// TemplateMinSpeedup is the smallest per-benchmark warm speedup — the
-	// number the CI floor holds at >= 1.5x.
+	// number Check holds at >= 1.5x.
 	TemplateMinSpeedup     float64 `json:"template_min_speedup"`
 	TemplateGeoMeanSpeedup float64 `json:"template_geomean_speedup"`
 }
@@ -345,19 +345,9 @@ func bestOfCompile(input *circuit.Circuit, g *topo.Graph, opts compiler.Options,
 	return best, nil
 }
 
-// WriteJSON serializes the report with stable indentation.
-func (r *OptBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("experiments: encoding opt bench: %w", err)
-	}
-	return nil
-}
-
 // WriteText prints a human-readable summary: per-cell counts and the
 // template latency table.
-func (r *OptBenchReport) WriteText(w io.Writer) error {
+func (r *OptBenchReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "saturating rewrite engine vs committed legacy cancel-loop counts (seed %d)\n", r.Seed)
 	fmt.Fprintf(w, "%-26s %-13s %-9s %8s %9s %7s\n", "benchmark", "topology", "pipeline", "legacy2q", "saturate2q", "delta")
 	for _, row := range r.Rows {
@@ -376,5 +366,4 @@ func (r *OptBenchReport) WriteText(w io.Writer) error {
 			row.Benchmark, time.Duration(row.ColdNanos), time.Duration(row.WarmNanos), row.Speedup, row.Outcome)
 	}
 	fmt.Fprintf(w, "template speedup: min %.1fx  geomean %.1fx\n", r.TemplateMinSpeedup, r.TemplateGeoMeanSpeedup)
-	return nil
 }

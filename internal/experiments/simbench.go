@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -306,16 +305,6 @@ func timed(f func() error, errp *error) float64 {
 	}
 	*errp = nil
 	return time.Since(start).Seconds()
-}
-
-// WriteJSON serializes the report with stable indentation.
-func (r *SimBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("experiments: encoding sim bench: %w", err)
-	}
-	return nil
 }
 
 // WriteText prints a human-readable summary.

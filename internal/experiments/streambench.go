@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -95,7 +94,7 @@ type StreamBenchReport struct {
 	// WindowBudgetBytes is the report's own memory ceiling: a process
 	// baseline plus a generous per-windowed-gate allowance times the bounded
 	// number of in-flight windows. peak_rss_bytes staying under it is the
-	// CI floor.
+	// floor Check holds.
 	WindowBudgetBytes int64 `json:"window_budget_bytes"`
 }
 
@@ -322,16 +321,6 @@ func (w *hashWriter) sum() (s [32]byte) {
 	return s
 }
 
-// WriteJSON serializes the report with stable indentation.
-func (r *StreamBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("experiments: encoding stream bench: %w", err)
-	}
-	return nil
-}
-
 // WriteText prints a human-readable summary.
 func (r *StreamBenchReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Streaming compile benchmark (seed %d, GOMAXPROCS %d, NumCPU %d)\n", r.Seed, r.GOMAXPROCS, r.NumCPU)
@@ -344,7 +333,4 @@ func (r *StreamBenchReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "peak RSS %d gates:        %6.1f MiB\n", r.SmallGates, float64(r.SmallPeakRSSBytes)/(1<<20))
 	fmt.Fprintf(w, "peak RSS %d gates:       %6.1f MiB (ratio %.2f, budget %.0f MiB)\n",
 		r.LargeGates, float64(r.PeakRSSBytes)/(1<<20), r.RSSRatio, float64(r.WindowBudgetBytes)/(1<<20))
-	if !r.EquivalenceOK {
-		fmt.Fprintln(w, "WARNING: streaming output diverged from the monolithic golden arm")
-	}
 }

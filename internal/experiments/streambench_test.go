@@ -45,7 +45,7 @@ func TestRunStreamBenchSmall(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, report); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any

@@ -106,7 +106,7 @@ func TestRunSimBenchSmoke(t *testing.T) {
 		t.Errorf("speedups missing: %+v", report)
 	}
 	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, report); err != nil {
 		t.Fatal(err)
 	}
 	var txt bytes.Buffer

@@ -18,8 +18,8 @@ import (
 	"trios/internal/version"
 )
 
-// maxRequestBytes mirrors the daemon's compile-body bound.
-const maxRequestBytes = 4 << 20
+// keyCacheEntries bounds the request-body -> cache-key memo.
+const keyCacheEntries = 4096
 
 // Options tunes a Proxy.
 type Options struct {
@@ -27,8 +27,6 @@ type Options struct {
 	Vnodes int
 	// HealthInterval between /healthz sweeps (<= 0: 500ms).
 	HealthInterval time.Duration
-	// KeyCacheEntries bounds the request-body -> cache-key memo (<= 0: 4096).
-	KeyCacheEntries int
 	// Tracer, when non-nil, records a span per routed compile (key resolve,
 	// one forward span per attempt) and injects a W3C traceparent into every
 	// forwarded request, so the replica's spans join the proxy's trace.
@@ -59,10 +57,6 @@ type Proxy struct {
 
 // NewProxy builds a fleet proxy over replicas.
 func NewProxy(replicas []Replica, opts Options) *Proxy {
-	entries := opts.KeyCacheEntries
-	if entries <= 0 {
-		entries = 4096
-	}
 	return &Proxy{
 		replicas: replicas,
 		ring:     NewRing(replicas, opts.Vnodes),
@@ -75,7 +69,7 @@ func NewProxy(replicas []Replica, opts Options) *Proxy {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		keys:    newKeyCache(entries),
+		keys:    newKeyCache(keyCacheEntries),
 		start:   time.Now(),
 		tracer:  opts.Tracer,
 		logger:  opts.Logger,
@@ -130,10 +124,8 @@ func (p *Proxy) compileKey(body []byte) (string, error) {
 	if key, ok := p.keys.get(body); ok {
 		return key, nil
 	}
-	var req service.CompileRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := service.DecodeRequest(bytes.NewReader(body))
+	if err != nil {
 		return "", err
 	}
 	spec, err := service.Resolve(req)
@@ -160,7 +152,7 @@ func (p *Proxy) handleCompile(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(ctx)
 		defer span.End()
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
 	if err != nil {
 		span.SetError(err)
 		var tooBig *http.MaxBytesError

@@ -427,7 +427,7 @@ func TestSaturateRegistryBenchmarksEquivalent(t *testing.T) {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		if in.NumQubits > 16 {
-			// The 19-20 qubit entries are covered by the opt-bench CI job;
+			// The 19-20 qubit entries are covered by the bench-optimize CI job;
 			// dense verification at 2^20 is too slow for the unit suite.
 			continue
 		}

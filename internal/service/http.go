@@ -17,9 +17,10 @@ import (
 	"trios/internal/version"
 )
 
-// maxRequestBytes bounds POST /v1/compile bodies; QASM for 20-qubit devices
-// is far below this, so anything larger is abuse, not workload.
-const maxRequestBytes = 4 << 20
+// MaxRequestBytes bounds POST /v1/compile bodies, at the daemon and at the
+// fleet proxy; QASM for 20-qubit devices is far below this, so anything
+// larger is abuse, not workload.
+const MaxRequestBytes = 4 << 20
 
 // Handler returns the daemon's HTTP surface:
 //
@@ -118,10 +119,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req CompileRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, err)

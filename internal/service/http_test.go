@@ -110,7 +110,7 @@ func TestHTTPBadRequests(t *testing.T) {
 
 func TestHTTPBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t)
-	huge := `{"qasm": "` + strings.Repeat("x", maxRequestBytes+1024) + `"}`
+	huge := `{"qasm": "` + strings.Repeat("x", MaxRequestBytes+1024) + `"}`
 	resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,9 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 
 	"trios/internal/benchmarks"
@@ -86,6 +88,17 @@ type JobSpec struct {
 	// Key is "sha256:<hex>" over canonical QASM, device name, and option
 	// fingerprint.
 	Key string
+}
+
+// DecodeRequest decodes one wire request strictly: an unknown field is an
+// error, so a misspelled option never compiles silently with its default.
+// The daemon and the fleet proxy both decode through it.
+func DecodeRequest(r io.Reader) (CompileRequest, error) {
+	var req CompileRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // Resolve validates a wire request into a JobSpec. All failures are

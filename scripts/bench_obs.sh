@@ -4,9 +4,10 @@
 # closed-loop mix against each, and merge the two runs into BENCH_obs.json as
 # phases "obs-off" and "obs-on". The on-phase run also fetches /debug/traces
 # and fails unless a non-empty slowest trace was retained, then asserts
-# tracing_on_vs_off_ratio >= OBS_MIN_RATIO (default 0.95: tracing may cost at
-# most 5% of throughput). Used by `make bench-obs` and the CI serving-smoke
-# job.
+# tracing_on_vs_off_ratio >= 0.95 (tracing may cost at most 5% of
+# throughput), that the on phase recorded traced requests and a slowest
+# trace, and that the off phase recorded none. Used by `make bench-obs` and
+# the CI serving-smoke job.
 #
 # Environment knobs:
 #   GO                  go binary (default: go)
@@ -15,7 +16,6 @@
 #   OBS_DURATION        load duration per phase (default: 5s)
 #   OBS_WARMUP          unmeasured warmup per phase (default: 2s)
 #   OBS_CONCURRENCY     closed-loop workers (default: 8)
-#   OBS_MIN_RATIO       throughput-retention floor (default: 0.95)
 #   OBS_OUT             report path (default: BENCH_obs.json)
 set -eu
 
@@ -30,7 +30,6 @@ ADDR=${TRIOSD_ADDR:-127.0.0.1:8423}
 DUR=${OBS_DURATION:-5s}
 WARMUP=${OBS_WARMUP:-2s}
 CONC=${OBS_CONCURRENCY:-8}
-RATIO=${OBS_MIN_RATIO:-0.95}
 OUT=${OBS_OUT:-BENCH_obs.json}
 RACE=${TRIOSD_RACE:-}
 
@@ -80,13 +79,14 @@ stop_daemon
 
 # Phase 2: tracing on (the default) — same mix, same daemon config otherwise.
 # -check-traces asserts the ring retained a slowest trace, -min-tracing-ratio
-# asserts the throughput cost against the obs-off phase just written.
+# asserts the throughput cost against the obs-off phase just written and that
+# only the on phase was traced.
 "$bindir/triosd" -addr "$ADDR" &
 pid=$!
 wait_healthy
 "$bindir/loadgen" -addr "http://$ADDR" -duration "$WARMUP" -concurrency "$CONC" -out ""
 "$bindir/loadgen" -addr "http://$ADDR" -duration "$DUR" -concurrency "$CONC" \
-    -phase obs-on -out "$OUT" -check-traces -min-tracing-ratio "$RATIO"
+    -phase obs-on -out "$OUT" -check-traces -min-tracing-ratio 0.95
 stop_daemon
 
 echo "bench_obs: wrote $OUT"
