@@ -31,12 +31,15 @@ race:
 	$(GO) test -race ./internal/compiler/... ./internal/route/... ./internal/topo/... ./internal/sim/... ./internal/stab/... ./internal/service/... ./internal/device/... ./internal/store/... ./internal/fleet/... ./internal/experiments/... ./internal/rewrite/... ./internal/template/... ./internal/obs/... ./internal/stream/... ./internal/qasm/...
 
 # Bench smoke: run every benchmark exactly once in short mode so the
-# compile-path benchmarks cannot silently rot. Not a timing run.
+# compile-path benchmarks cannot silently rot. Not a timing run: the
+# BenchmarkKernelFloor* timing gates skip themselves under -short (see
+# bench-kernels).
 bench:
 	$(BENCH_ENV) $(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
 # Routing micro-benchmarks: router end-to-end timings plus old-vs-new path
-# machinery (legacy per-query BFS/Dijkstra vs the distance-oracle lookups).
+# machinery (the per-query BFS frozen in topo's legacy_test.go and the
+# Dijkstra WeightedPath vs the distance-oracle lookups).
 bench-route:
 	$(GO) test -run '^$$' -bench 'Router|Distances|ShortestPath|Weighted|Oracle' -benchmem ./internal/route/... ./internal/topo/...
 
@@ -50,9 +53,10 @@ bench-route:
 bench-json:
 	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench compile
 
-# Simulation-engine benchmark: legacy full-scan kernels vs fused branch-free
-# kernels (serial + parallel), serial Monte-Carlo vs the parallel trajectory
-# backend, and dense vs stabilizer on a 20-qubit Clifford verification.
+# Simulation-engine benchmark: gate-at-a-time kernels vs fused kernels
+# (serial + parallel), the serial Monte-Carlo sampler vs the parallel
+# trajectory backend, and dense vs stabilizer on a 20-qubit Clifford
+# verification.
 # Writes BENCH_sim.json and a BENCH_sim.txt summary. (Redirect, not tee: a
 # pipe would swallow the benchmark's exit status and let a floor failure pass
 # CI.) Floors: parallel paths identical to serial; parallel_speedup measured,
@@ -61,13 +65,15 @@ bench-sim:
 	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench sim > BENCH_sim.txt
 	cat BENCH_sim.txt
 
-# Kernel micro-benchmark: the preserved legacy arms (branchy delta-scoring,
-# full-scan gate loops) vs the branch-free slab/kernel rewrites, old-vs-new
-# in one report. Writes BENCH_kernels.json and a BENCH_kernels.txt summary.
-# Floors: every new arm identical to its legacy arm; route_stochastic,
-# route_lookahead and dense_sweep speedups each >= 1.2.
+# Kernel floors: Go benchmarks timing the branch-free stochastic router,
+# lookahead router and fused dense sweep against their legacy arms, frozen
+# beside them in _test.go files (best of 3 each). Writes the go test -bench
+# output to BENCH_kernels.txt (redirect, not tee, so a failure fails the
+# step). Floors: every new arm identical to its legacy arm; each speedup
+# >= 1.2 (minKernelSpeedup in internal/route and internal/sim
+# kernelfloor_test.go).
 bench-kernels:
-	$(BENCH_ENV) $(GO) run ./cmd/experiments -bench kernels > BENCH_kernels.txt
+	$(BENCH_ENV) $(GO) test -run '^$$' -bench '^BenchmarkKernelFloor' -benchtime 1x ./internal/route ./internal/sim > BENCH_kernels.txt
 	cat BENCH_kernels.txt
 
 # Noise-aware sweep: the benchmark suite compiled under per-device

@@ -80,7 +80,7 @@ func streamRSSExec(p experiments.StreamRSSParams) (int64, error) {
 }
 
 // benchNames lists the -bench values; each writes BENCH_<name>.json.
-var benchNames = []string{"compile", "sim", "kernels", "noise", "optimize", "stream"}
+var benchNames = []string{"compile", "sim", "noise", "optimize", "stream"}
 
 // benchReport is what every -bench report offers the driver.
 type benchReport interface {
@@ -95,8 +95,6 @@ func newBench(name string, short bool, workers int, seed int64) (benchReport, er
 		return experiments.RunCompileBench(workers, seed)
 	case "sim":
 		return experiments.RunSimBench(workers, seed)
-	case "kernels":
-		return experiments.RunKernelBench(seed)
 	case "noise":
 		return experiments.RunNoiseBench(short, seed)
 	case "optimize":

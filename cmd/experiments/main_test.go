@@ -76,7 +76,7 @@ func TestUnknownBenchFails(t *testing.T) {
 	if err == nil {
 		t.Fatalf("-bench nosuch exited zero:\n%s", out)
 	}
-	for _, want := range []string{`unknown -bench "nosuch"`, "compile, sim, kernels, noise, optimize, stream"} {
+	for _, want := range []string{`unknown -bench "nosuch"`, "compile, sim, noise, optimize, stream"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -18,10 +19,6 @@ func passingCompile() *CompileBenchReport {
 
 func passingSim() *SimBenchReport {
 	return &SimBenchReport{NumCPU: 4, EffectiveWorkers: 4, ParallelSpeedup: 1.5, Deterministic: true}
-}
-
-func passingKernel() *KernelBenchReport {
-	return &KernelBenchReport{RouteStochasticSpeedup: 2, RouteLookaheadSpeedup: 5, DenseSweepSpeedup: 1.8, Identical: true}
 }
 
 func passingNoise() *NoiseBenchReport {
@@ -51,7 +48,6 @@ func TestCheckFloors(t *testing.T) {
 	}{
 		{"compile ok", passingCompile(), ""},
 		{"sim ok", passingSim(), ""},
-		{"kernel ok", passingKernel(), ""},
 		{"noise ok", passingNoise(), ""},
 		{"opt ok", passingOpt(), ""},
 		{"stream ok", passingStream(), ""},
@@ -74,11 +70,6 @@ func TestCheckFloors(t *testing.T) {
 			return r
 		}(), "parallel_speedup suppressed"},
 		{"sim speedup missing on one core", func() checker { r := passingSim(); r.NumCPU, r.ParallelSpeedup = 1, 0; return r }(), "parallel_speedup missing"},
-
-		{"kernel diverged", func() checker { r := passingKernel(); r.Identical = false; return r }(), "identical"},
-		{"kernel stochastic", func() checker { r := passingKernel(); r.RouteStochasticSpeedup = 1.1; return r }(), "route_stochastic_speedup"},
-		{"kernel lookahead", func() checker { r := passingKernel(); r.RouteLookaheadSpeedup = 1.1; return r }(), "route_lookahead_speedup"},
-		{"kernel dense sweep", func() checker { r := passingKernel(); r.DenseSweepSpeedup = 0; return r }(), "dense_sweep_speedup"},
 
 		{"noise loses on mean", func() checker { r := passingNoise(); r.MeanNoise = 0.19; return r }(), "mean_noise"},
 		{"noise geomean NaN", func() checker { r := passingNoise(); r.GeoMeanRatio = math.NaN(); return r }(), "geomean_ratio"},
@@ -117,13 +108,13 @@ func TestCheckFloors(t *testing.T) {
 
 // TestCheckJoinsViolations: a report missing several floors reports them all.
 func TestCheckJoinsViolations(t *testing.T) {
-	r := passingKernel()
-	r.Identical, r.RouteLookaheadSpeedup, r.DenseSweepSpeedup = false, 1, 1
+	r := passingOpt()
+	r.EquivalenceOK, r.SaturateBetter, r.TemplateMinSpeedup = false, 7, 1.4
 	err := r.Check()
 	if err == nil {
 		t.Fatal("Check passed three violations")
 	}
-	for _, field := range []string{"identical", "route_lookahead_speedup", "dense_sweep_speedup"} {
+	for _, field := range []string{"equivalence_ok", "saturate_better", "template_min_speedup"} {
 		if !strings.Contains(err.Error(), field) {
 			t.Errorf("joined error %q does not name %s", err, field)
 		}
@@ -132,12 +123,14 @@ func TestCheckJoinsViolations(t *testing.T) {
 
 // TestCommittedBenchReportsPass decodes the BENCH_*.json artifacts committed
 // at the repository root and holds each to its floors, so an artifact that
-// misses a floor cannot be committed.
+// misses a floor cannot be committed. The decode is strict: a field the
+// report type no longer has fails it. (The kernel floors' BENCH_kernels.txt
+// is checked by TestCommittedKernelFloors in internal/route and
+// internal/sim.)
 func TestCommittedBenchReportsPass(t *testing.T) {
 	for name, report := range map[string]checker{
 		"compile":  &CompileBenchReport{},
 		"sim":      &SimBenchReport{},
-		"kernels":  &KernelBenchReport{},
 		"noise":    &NoiseBenchReport{},
 		"optimize": &OptBenchReport{},
 		"stream":   &StreamBenchReport{},
@@ -147,7 +140,9 @@ func TestCommittedBenchReportsPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, report); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(report); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if err := report.Check(); err != nil {

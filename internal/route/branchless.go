@@ -17,9 +17,9 @@ import (
 // the sign bit of a subtraction. On the connected device graphs the routers
 // run on, every cost is finite and non-negative, so the subtraction can
 // produce neither NaN (needs Inf-Inf, i.e. unreachable pairs) nor -0 as a
-// comparison result, and the masks agree exactly with the legacy `<`
-// comparisons — the bit-identity golden tests pin this on every registry
-// device.
+// comparison result, and the masks agree exactly with `<` comparisons —
+// the golden tests pin this against the branchy legacy arms frozen in
+// legacy_test.go, on every registry device.
 
 // eqMask returns an all-ones int when x == y and 0 otherwise, for small
 // non-negative x and y (qubit indices). x^y is 0 iff equal; subtracting 1
@@ -72,20 +72,4 @@ func appendWinGate(win []winGate, s *state, gate circuit.Gate, w float64) []winG
 			p0: s.l.Phys(gate.Qubits[0]), p1: s.l.Phys(gate.Qubits[1]), p2: s.l.Phys(gate.Qubits[2])})
 	}
 	return win
-}
-
-// LegacyScoring returns a copy of s that routes with the preserved branchy
-// delta-scoring trial. Identical results, bit for bit; it exists as the
-// "old" arm of equivalence tests and the kernel micro-benchmarks.
-func (s Stochastic) LegacyScoring() *Stochastic {
-	s.legacyScoring = true
-	return &s
-}
-
-// LegacyScoring returns a copy of lk that routes with the preserved branchy
-// window-scoring loop. Identical results, bit for bit; it exists as the
-// "old" arm of equivalence tests and the kernel micro-benchmarks.
-func (lk Lookahead) LegacyScoring() *Lookahead {
-	lk.legacyScoring = true
-	return &lk
 }

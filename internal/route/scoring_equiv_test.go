@@ -52,8 +52,8 @@ func equivEdgeWeight(a, b int) float64 {
 // router rewrite: on every paper device, for seeded random circuits (with
 // and without intact CCX gates) and both cost models, the branchless
 // stochastic and lookahead routers must produce byte-identical output —
-// same gate stream, same swap count, same final layout — as the preserved
-// legacy scoring loops. This pins the RNG streams, the improving-set
+// same gate stream, same swap count, same final layout — as the legacy
+// scoring loops frozen in legacy_test.go. This pins the RNG streams, the improving-set
 // contents, and every float comparison.
 func TestBranchlessScoringMatchesLegacy(t *testing.T) {
 	devices := []*topo.Graph{topo.Johannesburg(), topo.Grid5x4(), topo.Line20(), topo.Clusters5x4()}
@@ -67,13 +67,13 @@ func TestBranchlessScoringMatchesLegacy(t *testing.T) {
 				init := layout.Identity(n)
 
 				newS := &Stochastic{Seed: seed, TrioAware: true, Weight: w}
-				oldS := newS.LegacyScoring()
+				oldS := (*legacyStochastic)(newS)
 				resNew, errNew := newS.Route(c, g, init)
 				resOld, errOld := oldS.Route(c, g, init)
 				compareRouted(t, g.Name()+"/stochastic/"+wname, resNew, errNew, resOld, errOld)
 
 				newL := &Lookahead{Seed: seed, TrioAware: true, Weight: w}
-				oldL := newL.LegacyScoring()
+				oldL := (*legacyLookahead)(newL)
 				resNew, errNew = newL.Route(c, g, init)
 				resOld, errOld = oldL.Route(c, g, init)
 				compareRouted(t, g.Name()+"/lookahead/"+wname, resNew, errNew, resOld, errOld)

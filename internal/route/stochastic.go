@@ -38,12 +38,6 @@ type Stochastic struct {
 	// Oracle, when non-nil, is the precomputed weighted-path table for
 	// Weight (a cost model's per-(graph, calibration) memo).
 	Oracle *topo.WeightedOracle
-	// legacyScoring selects the preserved branchy delta-scoring trial
-	// (map-lookup adjacency, per-candidate ifs, switch-based swapEnd)
-	// instead of the branchless slab sweep. Golden tests pin the two
-	// bit-identical; the legacy arm is the "old" side of the kernel
-	// micro-benchmarks.
-	legacyScoring bool
 }
 
 // maxSeqLen bounds one trial's swap sequence; 2*diameter*pairs is always
@@ -158,13 +152,9 @@ func (s *Stochastic) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 func (s *Stochastic) searchSwaps(st *state, g *topo.Graph, pending [][2]int, trials int) [][2]int {
 	var best [][2]int
 	limit := maxSeqLen(g, len(pending))
-	oneTrial := s.oneTrial
-	if s.legacyScoring {
-		oneTrial = s.oneTrialLegacy
-	}
 	sc := st.stochScratch()
 	for trial := 0; trial < trials; trial++ {
-		seq := oneTrial(st, g, pending, limit)
+		seq := s.oneTrial(st, g, pending, limit)
 		if seq != nil && (best == nil || len(seq) < len(best)) {
 			// The trial's sequence lives in scratch the next trial reuses,
 			// so keep the winner in its own reused buffer.
@@ -179,13 +169,11 @@ func (s *Stochastic) searchSwaps(st *state, g *topo.Graph, pending [][2]int, tri
 // trials, indexing pending pairs by the physical qubits they occupy so a
 // candidate swap is scored against only the pairs it touches.
 type stochScratch struct {
-	trialL    *layout.Layout // scratch layout the trial mutates
-	pairA     []int          // physical position of each pending pair's first qubit
-	pairB     []int          // ... and second qubit
-	pairsAt   [][]int32      // per-physical-qubit list of pending-pair indices
-	touched   []int          // physical qubits whose pairsAt lists need clearing
-	cands     [][2]int
-	improving [][2]int
+	trialL  *layout.Layout // scratch layout the trial mutates
+	pairA   []int          // physical position of each pending pair's first qubit
+	pairB   []int          // ... and second qubit
+	pairsAt [][]int32      // per-physical-qubit list of pending-pair indices
+	touched []int          // physical qubits whose pairsAt lists need clearing
 
 	// Branchless-sweep buffers: inv is the mask form of involved (-1 when a
 	// pending pair occupies the qubit, 0 otherwise); the candidate and
@@ -248,130 +236,22 @@ func (st *state) stochScratch() *stochScratch {
 	return st.stoch
 }
 
-// oneTrialLegacy simulates random swaps on a scratch layout until some pending
+// oneTrial simulates random swaps on a scratch layout until some pending
 // pair becomes adjacent. Swaps are drawn from edges touching pending qubits;
 // with high probability a distance-reducing edge is chosen, otherwise any
 // such edge — the randomness that makes the era-appropriate baseline wander.
 //
-// A candidate swap (a, b) is scored by an O(pairs-touching-a,b) delta
-// against the device's distance oracle instead of re-running a BFS sweep
-// over every pending pair: only pairs with an endpoint on a or b change
-// distance, and the swap improves the layer exactly when the summed delta of
-// those pairs is negative. Distances are exact integers, so the delta test
-// selects the same improving set as the legacy recompute-everything scan.
-// In noise-aware mode the same delta runs against the weighted-path tables,
-// so "improving" means lowering the layer's summed -log success.
-func (s *Stochastic) oneTrialLegacy(st *state, g *topo.Graph, pending [][2]int, limit int) [][2]int {
-	sc := st.stochScratch()
-	l := sc.trialL
-	l.CopyFrom(st.l)
-	rng := st.rng
-	var seq [][2]int
-	var worc *topo.WeightedOracle
-	if st.weight != nil {
-		worc = st.weightedOracle()
-	}
-
-	edges := g.EdgeList()
-	involved := st.involved
-	for len(seq) < limit {
-		adjacent := false
-		for _, p := range pending {
-			if g.ConnectedLegacy(l.Phys(p[0]), l.Phys(p[1])) {
-				adjacent = true
-				break
-			}
-		}
-		if adjacent {
-			if len(seq) == 0 {
-				return nil
-			}
-			return seq
-		}
-		// Index the pending pairs by the physical qubits holding them, so a
-		// candidate edge scores against only the pairs it moves.
-		for _, q := range sc.touched {
-			sc.pairsAt[q] = sc.pairsAt[q][:0]
-			involved[q] = false
-		}
-		sc.touched = sc.touched[:0]
-		sc.pairA = sc.pairA[:0]
-		sc.pairB = sc.pairB[:0]
-		for i, p := range pending {
-			a, b := l.Phys(p[0]), l.Phys(p[1])
-			sc.pairA = append(sc.pairA, a)
-			sc.pairB = append(sc.pairB, b)
-			for _, q := range [2]int{a, b} {
-				if !involved[q] {
-					involved[q] = true
-					sc.touched = append(sc.touched, q)
-				}
-				sc.pairsAt[q] = append(sc.pairsAt[q], int32(i))
-			}
-		}
-		cands, improving := sc.cands[:0], sc.improving[:0]
-		for _, e := range edges {
-			if !involved[e[0]] && !involved[e[1]] {
-				continue
-			}
-			cands = append(cands, e)
-			// Delta over the pairs touching e's endpoints. A pair touching
-			// both endpoints sits exactly on e — but then it is already
-			// adjacent and the trial returned above, so no pair is visited
-			// twice here (and even if one were, its delta is 0 by symmetry).
-			if worc != nil {
-				delta := 0.0
-				for _, end := range e {
-					for _, i := range sc.pairsAt[end] {
-						a, b := sc.pairA[i], sc.pairB[i]
-						na, nb := swapEnd(a, e), swapEnd(b, e)
-						delta += worc.DistLegacy(na, nb) - worc.DistLegacy(a, b)
-					}
-				}
-				if delta < 0 {
-					improving = append(improving, e)
-				}
-				continue
-			}
-			delta := 0
-			for _, end := range e {
-				for _, i := range sc.pairsAt[end] {
-					a, b := sc.pairA[i], sc.pairB[i]
-					na, nb := swapEnd(a, e), swapEnd(b, e)
-					delta += g.DistLegacy(na, nb) - g.DistLegacy(a, b)
-				}
-			}
-			if delta < 0 {
-				improving = append(improving, e)
-			}
-		}
-		sc.cands, sc.improving = cands[:0], improving[:0]
-		pool := improving
-		// Random exploration keeps the search from deadlocking on plateaus
-		// and reproduces the baseline's wander.
-		if len(pool) == 0 || rng.Float64() < 0.3 {
-			pool = cands
-		}
-		if len(pool) == 0 {
-			return nil
-		}
-		e := pool[rng.Intn(len(pool))]
-		l.SwapPhys(e[0], e[1])
-		seq = append(seq, e)
-	}
-	return nil
-}
-
-// oneTrial is the branchless form of oneTrialLegacy: same random walk, same
-// RNG stream, bit-identical swap sequences — but the scoring sweep runs over
-// the oracle's flat slabs with arithmetic selects instead of per-candidate
-// branches. Adjacency is a slab compare (hop distance 1), swapEnd's switch
-// becomes xor/mask arithmetic (swapSel), and membership in the candidate and
-// improving sets is a masked cursor bump, so the only branches in the sweep
-// are loop back-edges. The improving set is filled in edge order with
-// exactly the legacy condition (delta < 0, where delta can never be -0 or
-// NaN on a connected device — see branchless.go), so the pool the RNG draws
-// from is element-for-element identical.
+// A candidate swap is scored by the summed distance delta of only the
+// pending pairs with an endpoint on it, against the hop slab or, in
+// noise-aware mode, the weighted-path slab, so "improving" means lowering
+// the layer's summed distance (or -log success). The sweep is branch-free:
+// adjacency is a slab compare (hop distance 1), the hypothetical swap maps
+// operands with xor/mask arithmetic (swapSel), and membership in the
+// candidate and improving sets is a masked cursor bump, so the only branches
+// are loop back-edges. The improving set fills in edge order on delta < 0
+// (never -0 or NaN on a connected device — see branchless.go), so the pool
+// the RNG draws from is element-for-element that of the branchy legacy
+// trial frozen in legacy_test.go.
 func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit int) [][2]int {
 	sc := st.stochScratch()
 	l := sc.trialL
@@ -631,15 +511,4 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 		seq = append(seq, e)
 	}
 	return nil
-}
-
-// swapEnd maps a physical position through the swap of edge e's endpoints.
-func swapEnd(q int, e [2]int) int {
-	switch q {
-	case e[0]:
-		return e[1]
-	case e[1]:
-		return e[0]
-	}
-	return q
 }

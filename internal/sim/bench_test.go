@@ -83,7 +83,7 @@ func BenchmarkApplyLegacy16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := NewState(16)
-		if err := s.LegacyApplyCircuit(c); err != nil {
+		if err := s.legacyApplyCircuit(c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkTrajectorySerial(b *testing.B) {
 	noise := PauliNoise{OneQubitError: 0.001, TwoQubitError: 0.01}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloSuccessLegacy(c, noise, 0, 1, 200, int64(i)); err != nil {
+		if _, err := monteCarloSuccessLegacy(c, noise, 0, 1, 200, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

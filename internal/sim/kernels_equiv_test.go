@@ -94,7 +94,7 @@ func TestUnrolledKernelsMatchLegacyAwkwardSizes(t *testing.T) {
 			if err := a.ApplyCircuit(c); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.LegacyApplyCircuit(c); err != nil {
+			if err := b.legacyApplyCircuit(c); err != nil {
 				t.Fatal(err)
 			}
 			for i := range a.amp {

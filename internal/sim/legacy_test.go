@@ -66,7 +66,7 @@ func TestKernelsBitIdenticalToLegacy(t *testing.T) {
 		if err := a.ApplyCircuit(c); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.LegacyApplyCircuit(c); err != nil {
+		if err := b.legacyApplyCircuit(c); err != nil {
 			t.Fatal(err)
 		}
 		for i := range a.amp {
@@ -96,7 +96,7 @@ func TestMonteCarloBitIdenticalToLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := MonteCarloSuccessLegacy(c, noise, 0, ^uint64(0), 300, seed)
+		want, err := monteCarloSuccessLegacy(c, noise, 0, ^uint64(0), 300, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
-// Legacy full-scan simulation loops, preserved verbatim from before the
-// kernel rewrite. They serve two purposes: legacy_test.go proves the
-// branch-free kernels produce bit-identical states, and BENCH_sim uses them
-// as the serial baseline the engine's speedups are measured against (the
-// same discipline the distance-oracle refactor applied to the BFS path
-// machinery).
 package sim
+
+// Legacy full-scan simulation loops from before the kernel rewrite, frozen
+// verbatim as test code. legacy_test.go and kernels_equiv_test.go hold the
+// branch-free kernels and the Monte-Carlo sampler bit-identical to them, and
+// BenchmarkKernelFloorDenseSweep times them as the "old" arm of the dense
+// sweep floor.
 
 import (
 	"fmt"
@@ -69,9 +69,9 @@ func (s *State) legacyApplySwap(a, b int) {
 	}
 }
 
-// LegacyApplyGate applies one unitary gate with the pre-kernel loops. The
+// legacyApplyGate applies one unitary gate with the pre-kernel loops. The
 // dispatch mirrors State.ApplyGate exactly.
-func (s *State) LegacyApplyGate(g circuit.Gate) error {
+func (s *State) legacyApplyGate(g circuit.Gate) error {
 	for _, q := range g.Qubits {
 		if q < 0 || q >= s.n {
 			return fmt.Errorf("sim: gate %v qubit %d outside [0,%d)", g.Name, q, s.n)
@@ -139,25 +139,25 @@ func (s *State) legacyApplyMargolus(c1, c2, t int) error {
 	return ry(-a)
 }
 
-// LegacyApplyCircuit applies every gate of c with the pre-kernel loops.
-func (s *State) LegacyApplyCircuit(c *circuit.Circuit) error {
+// legacyApplyCircuit applies every gate of c with the pre-kernel loops.
+func (s *State) legacyApplyCircuit(c *circuit.Circuit) error {
 	if c.NumQubits > s.n {
 		return fmt.Errorf("sim: circuit needs %d qubits, state has %d", c.NumQubits, s.n)
 	}
 	for i := range c.Gates {
-		if err := s.LegacyApplyGate(c.Gates[i]); err != nil {
+		if err := s.legacyApplyGate(c.Gates[i]); err != nil {
 			return fmt.Errorf("gate %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// MonteCarloSuccessLegacy is the pre-refactor Monte-Carlo loop, preserved
+// monteCarloSuccessLegacy is the pre-refactor Monte-Carlo loop, frozen
 // verbatim (serial, gate-at-a-time, legacy kernels, Measure gates skipped
 // and expectMask compared as given). TestMonteCarloBitIdenticalToLegacy
 // proves the refactored MonteCarloSuccess returns bit-identical results for
-// every fixed seed, and BENCH_sim times it as the trajectory baseline.
-func MonteCarloSuccessLegacy(c *circuit.Circuit, noise PauliNoise, expect, expectMask uint64, shots int, seed int64) (float64, error) {
+// every fixed seed.
+func monteCarloSuccessLegacy(c *circuit.Circuit, noise PauliNoise, expect, expectMask uint64, shots int, seed int64) (float64, error) {
 	if c.NumQubits > 14 {
 		return 0, fmt.Errorf("sim: monte carlo limited to 14 qubits, circuit has %d", c.NumQubits)
 	}
@@ -171,7 +171,7 @@ func MonteCarloSuccessLegacy(c *circuit.Circuit, noise PauliNoise, expect, expec
 			if g.Name == circuit.Measure || g.Name == circuit.Barrier {
 				continue
 			}
-			if err := s.LegacyApplyGate(g); err != nil {
+			if err := s.legacyApplyGate(g); err != nil {
 				return 0, fmt.Errorf("gate %d: %w", i, err)
 			}
 			p := noise.OneQubitError
@@ -181,7 +181,7 @@ func MonteCarloSuccessLegacy(c *circuit.Circuit, noise PauliNoise, expect, expec
 			for _, q := range g.Qubits {
 				if rng.Float64() < p {
 					pg := circuit.NewGate(paulis[rng.Intn(3)], []int{q})
-					if err := s.LegacyApplyGate(pg); err != nil {
+					if err := s.legacyApplyGate(pg); err != nil {
 						return 0, err
 					}
 				}

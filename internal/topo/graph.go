@@ -7,7 +7,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -21,11 +20,11 @@ type Graph struct {
 	name string
 	n    int
 	adj  [][]int
-	edge map[[2]int]bool
-	// conn is a flat n*n adjacency matrix (index a*n+b): Connected is on the
-	// routers' per-candidate hot path, and a bounds-checked byte load beats
-	// hashing a map key there.
-	conn []bool
+	// conn is the flat n*n adjacency matrix (index a*n+b): Connected is on
+	// the routers' per-candidate hot path, where it is one bounds-checked
+	// byte load.
+	conn     []bool
+	numEdges int
 
 	// Distance oracle, built once on first query (or via EnsureOracle).
 	once   sync.Once
@@ -42,16 +41,8 @@ func NewGraph(name string, n int) *Graph {
 		name: name,
 		n:    n,
 		adj:  make([][]int, n),
-		edge: make(map[[2]int]bool),
 		conn: make([]bool, n*n),
 	}
-}
-
-func edgeKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
 }
 
 // AddEdge inserts an undirected coupling between qubits a and b.
@@ -64,11 +55,10 @@ func (g *Graph) AddEdge(a, b int) {
 	if a < 0 || a >= g.n || b < 0 || b >= g.n {
 		panic(fmt.Sprintf("topo: edge (%d,%d) outside [0,%d)", a, b, g.n))
 	}
-	k := edgeKey(a, b)
-	if g.edge[k] {
+	if g.conn[a*g.n+b] {
 		return
 	}
-	g.edge[k] = true
+	g.numEdges++
 	g.conn[a*g.n+b] = true
 	g.conn[b*g.n+a] = true
 	g.adj[a] = append(g.adj[a], b)
@@ -82,21 +72,16 @@ func (g *Graph) Name() string { return g.name }
 func (g *Graph) NumQubits() int { return g.n }
 
 // NumEdges returns the number of couplings.
-func (g *Graph) NumEdges() int { return len(g.edge) }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Connected reports whether qubits a and b share a coupling. Out-of-range
-// arguments report false, matching the former map lookup.
+// arguments report false.
 func (g *Graph) Connected(a, b int) bool {
 	if uint(a) >= uint(g.n) || uint(b) >= uint(g.n) {
 		return false
 	}
 	return g.conn[a*g.n+b]
 }
-
-// ConnectedLegacy is the seed's adjacency test — a hash-map probe on the
-// canonical edge key — preserved verbatim as the "old" arm of the route
-// kernel micro-benchmarks. Semantically identical to Connected.
-func (g *Graph) ConnectedLegacy(a, b int) bool { return g.edge[edgeKey(a, b)] }
 
 // Neighbors returns the qubits adjacent to q. The returned slice is shared;
 // callers must not modify it.
@@ -105,18 +90,17 @@ func (g *Graph) Neighbors(q int) []int { return g.adj[q] }
 // Degree returns the number of couplings incident to q.
 func (g *Graph) Degree(q int) int { return len(g.adj[q]) }
 
-// Edges returns all couplings as sorted (low, high) pairs in a stable order.
+// Edges returns all couplings as sorted (low, high) pairs: a row-major scan
+// of the adjacency matrix's upper triangle.
 func (g *Graph) Edges() [][2]int {
-	edges := make([][2]int, 0, len(g.edge))
-	for e := range g.edge {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
+	edges := make([][2]int, 0, g.numEdges)
+	for a := 0; a < g.n; a++ {
+		for b := a + 1; b < g.n; b++ {
+			if g.conn[a*g.n+b] {
+				edges = append(edges, [2]int{a, b})
+			}
 		}
-		return edges[i][1] < edges[j][1]
-	})
+	}
 	return edges
 }
 
@@ -166,5 +150,5 @@ func (g *Graph) IsConnectedGraph() bool {
 
 // String describes the graph briefly.
 func (g *Graph) String() string {
-	return fmt.Sprintf("%s(%d qubits, %d edges)", g.name, g.n, len(g.edge))
+	return fmt.Sprintf("%s(%d qubits, %d edges)", g.name, g.n, g.numEdges)
 }

@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // infWeight marks unreachable nodes in weighted-path tables.
@@ -36,13 +35,8 @@ type oracle struct {
 	// candidate list the legacy ShortestPathTieBreak built per hop.
 	candOff []int32
 	cand    []int32
-	// edges is the sorted (low, high) edge list Edges() used to rebuild and
-	// re-sort on every call.
+	// edges is the sorted (low, high) edge list, built once.
 	edges [][2]int
-	// rows is the pre-flattening [][]int matrix, materialized lazily for
-	// the preserved legacy benchmark arms only.
-	rowsOnce sync.Once
-	rows     [][]int
 }
 
 // ensureOracle builds the oracle on first use. The sync.Once makes a shared
@@ -118,7 +112,7 @@ func buildOracle(g *Graph) *oracle {
 
 // bfsDistances32Into runs the BFS from src into a row of the int32 slab,
 // using (and returning) the caller's queue scratch. Traversal order is
-// identical to the legacy bfsDistancesInto.
+// identical to the reference bfsDistancesInto (legacy_test.go).
 func bfsDistances32Into(g *Graph, src int, dist []int32, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
@@ -185,14 +179,6 @@ func (g *Graph) Dist(a, b int) int {
 	return int(g.ensureOracle().dist[a*g.n+b])
 }
 
-// AllPairsDistances returns the distance matrix as [][]int row slices
-// (materialized once, then shared — callers must not modify it). New code
-// should prefer DistTable, whose flat slab is what the hot loops read; this
-// accessor remains for callers that want the classic row-slice shape.
-func (g *Graph) AllPairsDistances() [][]int {
-	return g.ensureOracle().legacyRows(g.n)
-}
-
 // NextHopCandidates returns the neighbors of src that lie on some shortest
 // path toward dst, in adjacency order — the candidate set a tie-breaking
 // path walk chooses from at src. The slice is shared; callers must not
@@ -205,91 +191,6 @@ func (g *Graph) NextHopCandidates(src, dst int) []int32 {
 // the returned slice is the oracle's shared copy: callers must not modify it.
 func (g *Graph) EdgeList() [][2]int {
 	return g.ensureOracle().edges
-}
-
-// ---- Legacy reference implementations ----
-//
-// The per-query BFS routines the oracle replaced are preserved verbatim
-// below. They are the ground truth the oracle equivalence tests compare
-// against on every registry device, and the "old" side of the route
-// micro-benchmarks (make bench-route).
-
-// bfsDistancesInto runs the legacy BFS from src, writing hop distances into
-// dist (len n, -1 for unreachable).
-func bfsDistancesInto(g *Graph, src int, dist []int) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.adj[q] {
-			if dist[nb] < 0 {
-				dist[nb] = dist[q] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-}
-
-// DistancesBFS is the legacy allocating per-query BFS behind Distances,
-// retained as the reference implementation for equivalence tests and
-// old-vs-new benchmarks.
-func (g *Graph) DistancesBFS(src int) []int {
-	dist := make([]int, g.n)
-	bfsDistancesInto(g, src, dist)
-	return dist
-}
-
-// AllPairsDistancesBFS is the legacy matrix construction (one BFS per row),
-// retained for equivalence tests and benchmarks.
-func (g *Graph) AllPairsDistancesBFS() [][]int {
-	d := make([][]int, g.n)
-	for i := 0; i < g.n; i++ {
-		d[i] = g.DistancesBFS(i)
-	}
-	return d
-}
-
-// ShortestPathTieBreakBFS is the legacy BFS-per-query path walk behind
-// ShortestPathTieBreak, retained for equivalence tests and benchmarks. Its
-// candidate enumeration order defines the contract the oracle's candidate
-// table reproduces.
-func (g *Graph) ShortestPathTieBreakBFS(src, dst int, prefer func(cands []int) int) []int {
-	if src == dst {
-		return []int{src}
-	}
-	distTo := g.DistancesBFS(dst)
-	if distTo[src] < 0 {
-		return nil
-	}
-	path := make([]int, 0, distTo[src]+1)
-	path = append(path, src)
-	cur := src
-	cands := make([]int, 0, 4)
-	for cur != dst {
-		cands = cands[:0]
-		for _, nb := range g.adj[cur] {
-			if distTo[nb] == distTo[cur]-1 {
-				cands = append(cands, nb)
-			}
-		}
-		next := cands[0]
-		if prefer != nil && len(cands) > 1 {
-			next = cands[prefer(cands)]
-		} else {
-			for _, c := range cands[1:] {
-				if c < next {
-					next = c
-				}
-			}
-		}
-		path = append(path, next)
-		cur = next
-	}
-	return path
 }
 
 // freezeCheck panics when a mutation arrives after the oracle was built.
@@ -317,10 +218,6 @@ type WeightedOracle struct {
 	n    int
 	dist []float64
 	prev []int32
-	// rows is the seed's [][]float64 shape, materialized lazily for the
-	// preserved legacy benchmark arms only.
-	rowsOnce sync.Once
-	rows     [][]float64
 }
 
 // NewWeightedOracle runs one full Dijkstra per source over weight(a, b)
@@ -413,62 +310,4 @@ func (o *WeightedOracle) PathAppend(buf []int, src, dst int) (path []int, ok boo
 		buf[start+i] = q
 	}
 	return buf, true
-}
-
-// legacyRows materializes the pre-flattening [][]int distance matrix on
-// first use (one row slice per source, exactly the layout the seed's
-// ensureOracle().dist[a][b] walked). It exists solely so the preserved
-// legacy routing arms measure the old representation's pointer-chase, not
-// the flat slab they were rewritten to avoid.
-func (o *oracle) legacyRows(n int) [][]int {
-	o.rowsOnce.Do(func() {
-		rows := make([][]int, n)
-		for src := 0; src < n; src++ {
-			row := make([]int, n)
-			for dst := 0; dst < n; dst++ {
-				row[dst] = int(o.dist[src*n+dst])
-			}
-			rows[src] = row
-		}
-		o.rows = rows
-	})
-	return o.rows
-}
-
-// DistLegacy is the seed's Dist access path — row-pointer dereference into
-// a [][]int matrix — preserved as the "old" arm of the route kernel
-// micro-benchmarks. Semantically identical to Dist.
-func (g *Graph) DistLegacy(a, b int) int {
-	return g.ensureOracle().legacyRows(g.n)[a][b]
-}
-
-// LegacyRows returns the materialized [][]int distance matrix (the seed's
-// AllPairsDistances shape), for legacy arms that hoisted the matrix out of
-// their loops.
-func (g *Graph) LegacyRows() [][]int {
-	return g.ensureOracle().legacyRows(g.n)
-}
-
-// legacyRows is the WeightedOracle counterpart: the seed stored
-// dist [][]float64 and read dist[src][dst].
-func (o *WeightedOracle) legacyRows() [][]float64 {
-	o.rowsOnce.Do(func() {
-		rows := make([][]float64, o.n)
-		for src := 0; src < o.n; src++ {
-			rows[src] = append([]float64(nil), o.dist[src*o.n:(src+1)*o.n]...)
-		}
-		o.rows = rows
-	})
-	return o.rows
-}
-
-// DistLegacy is the seed's weighted Dist access path (row-pointer
-// dereference), preserved for the legacy routing arms.
-func (o *WeightedOracle) DistLegacy(src, dst int) float64 {
-	return o.legacyRows()[src][dst]
-}
-
-// LegacyRows returns the materialized [][]float64 weighted-distance matrix.
-func (o *WeightedOracle) LegacyRows() [][]float64 {
-	return o.legacyRows()
 }

@@ -5,8 +5,8 @@ import "math"
 // Distances returns the hop distances from src to every qubit (-1 when
 // unreachable) as a row of the precomputed distance oracle's flat int32
 // slab. The returned slice is shared; callers must not modify it. (The
-// legacy allocating BFS survives as DistancesBFS for equivalence tests and
-// benchmarks.)
+// allocating per-query BFS it replaced is frozen in legacy_test.go, for the
+// equivalence tests and benchmarks.)
 func (g *Graph) Distances(src int) []int32 {
 	o := g.ensureOracle()
 	return o.dist[src*g.n : (src+1)*g.n]

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -284,6 +285,43 @@ func TestEdgesSorted(t *testing.T) {
 	for i := 1; i < len(es); i++ {
 		if es[i][0] < es[i-1][0] {
 			t.Error("edges not sorted")
+		}
+	}
+}
+
+// TestEdgesMatchEdgeSet adds random edges, duplicates and reversed
+// duplicates included, and checks Edges, NumEdges and Connected against a
+// canonical (low, high) edge set.
+func TestEdgesMatchEdgeSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(30)
+		g := NewGraph("rand", n)
+		set := map[[2]int]bool{}
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a == b {
+				continue
+			}
+			g.AddEdge(a, b)
+			set[[2]int{min(a, b), max(a, b)}] = true
+		}
+		var want [][2]int
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if set[[2]int{a, b}] {
+					want = append(want, [2]int{a, b})
+				}
+				if g.Connected(a, b) != set[[2]int{a, b}] || g.Connected(b, a) != set[[2]int{a, b}] {
+					t.Fatalf("trial %d: Connected(%d,%d) disagrees with the edge set", trial, a, b)
+				}
+			}
+		}
+		if got := g.Edges(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("trial %d: Edges() = %v, want %v", trial, got, want)
+		}
+		if g.NumEdges() != len(want) {
+			t.Fatalf("trial %d: NumEdges() = %d, want %d", trial, g.NumEdges(), len(want))
 		}
 	}
 }
