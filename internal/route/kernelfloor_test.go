@@ -164,29 +164,36 @@ func BenchmarkKernelFloorLookahead(b *testing.B) {
 	benchKernelFloor(b, "route-lookahead", c, topo.Grid(8, 8), 3, lk, (*legacyLookahead)(lk))
 }
 
-// TestCheckKernelFloor feeds the floor helper a passing result, a speedup
-// just under the floor, and a diverged result: the failures must name the
-// workload.
+// TestCheckKernelFloor feeds the floor helper a passing result for each
+// router, a diverged result, and a speedup just under the floor for each
+// router: every failure must name its workload.
 func TestCheckKernelFloor(t *testing.T) {
-	for _, workload := range []string{"route-stochastic", "route-lookahead"} {
-		if err := checkKernelFloor(workload, 2, true); err != nil {
-			t.Errorf("%s: passing result failed: %v", workload, err)
-		}
-		for _, tc := range []struct {
-			name      string
-			speedup   float64
-			identical bool
-			want      string
-		}{
-			{"slow", 1.1, true, "speedup 1.10 < floor 1.2"},
-			{"diverged", 2, false, "diverged"},
-		} {
-			err := checkKernelFloor(workload, tc.speedup, tc.identical)
-			if err == nil || !strings.Contains(err.Error(), workload) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s/%s: error %v, want one naming %q and %q", workload, tc.name, err, workload, tc.want)
-			}
+	workloads := []string{"route-stochastic", "route-lookahead"}
+	wantErr := func(t *testing.T, workload string, speedup float64, identical bool, want string) {
+		t.Helper()
+		err := checkKernelFloor(workload, speedup, identical)
+		if err == nil || !strings.Contains(err.Error(), workload) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %q and %q", workload, err, workload, want)
 		}
 	}
+	t.Run("ok", func(t *testing.T) {
+		for _, workload := range workloads {
+			if err := checkKernelFloor(workload, 2, true); err != nil {
+				t.Errorf("%s: passing result failed: %v", workload, err)
+			}
+		}
+	})
+	t.Run("diverged", func(t *testing.T) {
+		for _, workload := range workloads {
+			wantErr(t, workload, 2, false, "diverged")
+		}
+	})
+	t.Run("stochastic", func(t *testing.T) {
+		wantErr(t, "route-stochastic", 1.1, true, "speedup 1.10 < floor 1.2")
+	})
+	t.Run("lookahead", func(t *testing.T) {
+		wantErr(t, "route-lookahead", 1.1, true, "speedup 1.10 < floor 1.2")
+	})
 }
 
 // committedKernelSpeedups parses the committed BENCH_kernels.txt (go test
