@@ -37,11 +37,13 @@ race:
 bench:
 	$(BENCH_ENV) $(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
-# Routing micro-benchmarks: router end-to-end timings plus old-vs-new path
-# machinery (the per-query BFS frozen in topo's legacy_test.go and the
-# Dijkstra WeightedPath vs the distance-oracle lookups).
+# Routing micro-benchmarks: the four routers on Johannesburg (internal/route)
+# plus old-vs-new path machinery in internal/topo: the per-query BFS and
+# Dijkstra frozen in topo's legacy_test.go (DistancesBFS, ShortestPathBFS,
+# WeightedPathDijkstra) against the hop and weighted distance oracles
+# (DistancesOracle, ShortestPathOracle, WeightedOracle, and both builds).
 bench-route:
-	$(GO) test -run '^$$' -bench 'Router|Distances|ShortestPath|Weighted|Oracle' -benchmem ./internal/route/... ./internal/topo/...
+	$(GO) test -run '^$$' -bench '^Benchmark(.*RouterJohannesburg|Distances|ShortestPath|WeightedPath|WeightedOracle|OracleBuild)' -benchmem ./internal/route/... ./internal/topo/...
 
 # Every cmd/experiments -bench run writes BENCH_<name>.json, prints its text
 # summary, and exits nonzero if the report misses any floor in

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"trios/internal/benchmarks"
+	"trios/internal/circuit"
 	"trios/internal/compiler"
 	"trios/internal/noise"
 	"trios/internal/qasm"
@@ -178,7 +179,7 @@ func TestCompiledBVExactlyEquivalentAt20Qubits(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v/%v: %v", g.Name(), pipe, router, err)
 				}
-				if !stab.IsClifford(res.Physical) {
+				if !circuit.IsClifford(res.Physical) {
 					t.Fatalf("%s: compiled bv should stay Clifford", g.Name())
 				}
 				// Reference: source remapped to initial placement, then the
@@ -237,26 +238,5 @@ func TestTriosNeverLosesOnGateCount(t *testing.T) {
 				t.Errorf("%s on %s: toffoli-free benchmark differs (%d vs %d)", b.Name, g.Name(), tq, bq)
 			}
 		}
-	}
-}
-
-// TestSerializationOverheadComputable runs the crosstalk scheduler over a
-// compiled benchmark as a smoke-level contract for the sched extension.
-func TestSerializationOverheadComputable(t *testing.T) {
-	src, err := benchmarks.CnXDirty(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := topo.Johannesburg()
-	res, err := compiler.Compile(src, g, compiler.Options{Pipeline: compiler.TriosPipeline, Placement: compiler.PlaceGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio, err := sched.SerializationOverhead(res.Physical, sched.JohannesburgTimes(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio < 1 {
-		t.Errorf("serialization overhead %v < 1", ratio)
 	}
 }

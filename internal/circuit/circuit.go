@@ -34,14 +34,6 @@ func (c *Circuit) Append(gs ...Gate) *Circuit {
 	return c
 }
 
-// AppendCircuit appends all gates of o to c.
-func (c *Circuit) AppendCircuit(o *Circuit) *Circuit {
-	if o.NumQubits > c.NumQubits {
-		c.NumQubits = o.NumQubits
-	}
-	return c.Append(o.Gates...)
-}
-
 // Builder helpers. Each appends one gate and returns the circuit to allow
 // chaining when constructing test fixtures and benchmark circuits.
 

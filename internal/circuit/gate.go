@@ -185,12 +185,6 @@ func (g Gate) Target() int { return g.Qubits[len(g.Qubits)-1] }
 // Controls returns the control qubits of a controlled gate (all but the last).
 func (g Gate) Controls() []int { return g.Qubits[:len(g.Qubits)-1] }
 
-// On returns a copy of the gate acting on different qubits, used when
-// remapping logical to physical indices.
-func (g Gate) On(qubits ...int) Gate {
-	return NewGate(g.Name, qubits, g.Params...)
-}
-
 // Remap returns a copy of the gate with every qubit q replaced by f(q).
 func (g Gate) Remap(f func(int) int) Gate {
 	q := make([]int, len(g.Qubits))

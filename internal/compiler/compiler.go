@@ -186,11 +186,8 @@ type Result struct {
 	// pipeline that produced this result. Cached front passes contribute
 	// the metrics of the run that populated the cache.
 	Passes []PassMetric
-	// ScheduledDuration is non-zero when the pipeline included a Schedule
-	// pass: the ASAP duration of the compiled circuit.
-	ScheduledDuration float64
 	// CostModel names the cost model that drove layout and routing
-	// ("uniform", "noise:<calibration>", "custom").
+	// ("uniform" or "noise:<calibration>").
 	CostModel string
 	// EstimatedSuccess and Makespan are the fidelity block, filled when
 	// Options.Calibration is set: the closed-form per-edge/per-qubit success

@@ -223,10 +223,10 @@ func TestMeasuresSurviveCompilation(t *testing.T) {
 
 func TestNoiseAwareCompilation(t *testing.T) {
 	g := topo.Grid(2, 3)
-	weight := func(a, b int) float64 { return 1 }
+	cal := device.Synthetic(g.Name(), g, 0.5, 1, 1)
 	c := circuit.New(3)
 	c.CCX(0, 1, 2)
-	res, err := Compile(c, g, Options{Pipeline: TriosPipeline, CostModel: device.NewWeightFunc(weight)})
+	res, err := Compile(c, g, Options{Pipeline: TriosPipeline, CostModel: device.NewNoise(cal)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,35 @@ import (
 	"trios/internal/topo"
 )
 
+// flatCalibration characterizes g with the Johannesburg device averages,
+// every coupling at two-qubit error e2 and no readout error, so the success
+// estimate charges only gates and decoherence.
+func flatCalibration(g *topo.Graph, e2 float64) *device.Calibration {
+	j := device.JohannesburgFlat()
+	return device.Flat(g.Name(), g, j.MeanT1(), j.MeanT2(), j.OneQubitError[0], e2, 0, j.Times)
+}
+
+// success is the calibrated closed-form success estimate of a compile.
+func success(t *testing.T, res *Result, cal *device.Calibration) float64 {
+	t.Helper()
+	p, _, err := noise.SuccessWithCalibration(res.Physical, cal, noise.CoherenceProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestNoiseAwareRoutingAvoidsHotEdges exercises the paper's §4 noise-aware
 // extension end to end: with one very bad coupling on the only short path,
 // weighting routing edges by -log CNOT success must steer SWAPs around it
-// and yield a higher per-edge success estimate than noise-blind routing.
+// and yield a higher calibrated success estimate than noise-blind routing.
 func TestNoiseAwareRoutingAvoidsHotEdges(t *testing.T) {
 	// Ring of 7: the unique shortest path 0-1-2-3 crosses a hot coupling;
 	// the one-hop-longer way around (0-6-5-4-3) is clean. Noise-blind
 	// routing must take the short hot path; noise-aware must detour.
 	g := topo.Ring(7)
-	em := noise.UniformEdgeMap(g, 0.005)
-	em.SetError(1, 2, 0.35)
+	cal := flatCalibration(g, 0.005)
+	cal.SetEdgeError(1, 2, 0.35)
 
 	src := circuit.New(2)
 	src.CX(0, 1)
@@ -31,26 +49,17 @@ func TestNoiseAwareRoutingAvoidsHotEdges(t *testing.T) {
 	}
 	aware, err := Compile(src, g, Options{
 		Pipeline: Conventional, InitialLayout: init, Seed: 2,
-		CostModel: device.NewWeightFunc(em.RouteWeight()),
+		CostModel: device.NewNoise(cal),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	model := noise.Johannesburg0819()
-	model.ReadoutError = 0
-	pBlind, err := noise.SuccessProbabilityEdges(blind.Physical, model, em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pAware, err := noise.SuccessProbabilityEdges(aware.Physical, model, em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pBlind, pAware := success(t, blind, cal), success(t, aware, cal)
 	// The noise-aware route detours around qubit 4's hot couplings.
 	for _, gate := range aware.Physical.Gates {
 		if gate.Name == circuit.CX {
-			e, err := em.Error(gate.Qubits[0], gate.Qubits[1])
+			e, err := cal.EdgeError(gate.Qubits[0], gate.Qubits[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,17 +73,17 @@ func TestNoiseAwareRoutingAvoidsHotEdges(t *testing.T) {
 	}
 }
 
-// TestNoiseAwareTrioRouting checks the Trios pipeline accepts edge weights
-// and produces legal, verified circuits under them.
+// TestNoiseAwareTrioRouting checks the Trios pipeline accepts a calibrated
+// cost model and produces legal, verified circuits under it.
 func TestNoiseAwareTrioRouting(t *testing.T) {
 	g := topo.Grid(3, 3)
-	em := noise.SyntheticCalibration(g, 0.01, 0.6, 2, 9)
+	cal := device.Synthetic(g.Name(), g, 0.6, 2, 9)
 	src := circuit.New(3)
 	src.CCX(0, 1, 2)
 	res, err := Compile(src, g, Options{
 		Pipeline:      TriosPipeline,
 		InitialLayout: []int{0, 8, 6},
-		CostModel:     device.NewWeightFunc(em.RouteWeight()),
+		CostModel:     device.NewNoise(cal),
 		Seed:          5,
 	})
 	if err != nil {
@@ -89,16 +98,16 @@ func TestNoiseAwareTrioRouting(t *testing.T) {
 func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 	g := topo.Johannesburg()
 	hot := [][2]int{{7, 12}, {5, 10}, {6, 7}}
-	em := noise.UniformEdgeMap(g, 0.005)
+	cal := flatCalibration(g, 0.005)
 	for _, e := range hot {
-		em.SetError(e[0], e[1], 0.35)
+		cal.SetEdgeError(e[0], e[1], 0.35)
 	}
 	src := circuit.New(3)
 	src.CCX(0, 1, 2)
 	aware, err := Compile(src, g, Options{
 		Pipeline:      TriosPipeline,
 		InitialLayout: []int{2, 11, 15},
-		CostModel:     device.NewWeightFunc(em.RouteWeight()),
+		CostModel:     device.NewNoise(cal),
 		Seed:          8,
 	})
 	if err != nil {
@@ -111,7 +120,7 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 		if gate.Name != circuit.CX {
 			continue
 		}
-		e, err := em.Error(gate.Qubits[0], gate.Qubits[1])
+		e, err := cal.EdgeError(gate.Qubits[0], gate.Qubits[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +128,7 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 			t.Errorf("noise-aware trio used hot coupler (%d,%d)", gate.Qubits[0], gate.Qubits[1])
 		}
 	}
-	// And it must beat the blind compilation under the per-edge model.
+	// And it must beat the blind compilation under the calibrated model.
 	blind, err := Compile(src, g, Options{
 		Pipeline:      TriosPipeline,
 		InitialLayout: []int{2, 11, 15},
@@ -128,16 +137,7 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := noise.Johannesburg0819()
-	model.ReadoutError = 0
-	pAware, err := noise.SuccessProbabilityEdges(aware.Physical, model, em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pBlind, err := noise.SuccessProbabilityEdges(blind.Physical, model, em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pAware, pBlind := success(t, aware, cal), success(t, blind, cal)
 	if pAware <= pBlind {
 		t.Errorf("noise-aware %v <= blind %v", pAware, pBlind)
 	}
@@ -149,7 +149,7 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 // stay legal and verified under weights.
 func TestStochasticAndLookaheadAcceptWeightedCostModels(t *testing.T) {
 	g := topo.Grid(3, 3)
-	em := noise.SyntheticCalibration(g, 0.01, 0.6, 2, 9)
+	cal := device.Synthetic(g.Name(), g, 0.6, 2, 9)
 	src := circuit.New(4)
 	src.CX(0, 3).CCX(0, 1, 2).CX(2, 3).CX(0, 2)
 	for _, router := range []RouterKind{RouteStochastic, RouteLookahead} {
@@ -157,7 +157,7 @@ func TestStochasticAndLookaheadAcceptWeightedCostModels(t *testing.T) {
 			Pipeline:  TriosPipeline,
 			Router:    router,
 			Placement: PlaceGreedy,
-			CostModel: device.NewWeightFunc(em.RouteWeight()),
+			CostModel: device.NewNoise(cal),
 			Seed:      3,
 		})
 		if err != nil {
@@ -174,15 +174,15 @@ func TestLookaheadNoiseAwareAvoidsHotEdge(t *testing.T) {
 	// Ring of 7 as in the direct-router test: the short way from 0 to 3
 	// crosses the hot (1,2) coupling, the long way is clean.
 	g := topo.Ring(7)
-	em := noise.UniformEdgeMap(g, 0.005)
-	em.SetError(1, 2, 0.35)
+	cal := flatCalibration(g, 0.005)
+	cal.SetEdgeError(1, 2, 0.35)
 	src := circuit.New(2)
 	src.CX(0, 1)
 	init := []int{0, 3}
 	aware, err := Compile(src, g, Options{
 		Pipeline: Conventional, Router: RouteLookahead,
 		InitialLayout: init, Seed: 2,
-		CostModel: device.NewWeightFunc(em.RouteWeight()),
+		CostModel: device.NewNoise(cal),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestLookaheadNoiseAwareAvoidsHotEdge(t *testing.T) {
 		if gate.Name != circuit.CX {
 			continue
 		}
-		e, err := em.Error(gate.Qubits[0], gate.Qubits[1])
+		e, err := cal.EdgeError(gate.Qubits[0], gate.Qubits[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,17 +202,15 @@ func TestLookaheadNoiseAwareAvoidsHotEdge(t *testing.T) {
 }
 
 // TestStochasticNoiseAwareImprovesSuccess: across seeds, weighted delta
-// scoring should on average compile to no worse per-edge success than the
+// scoring should on average compile to no worse calibrated success than the
 // noise-blind stochastic walk on a landscape with one very hot coupler.
 func TestStochasticNoiseAwareImprovesSuccess(t *testing.T) {
 	g := topo.Ring(7)
-	em := noise.UniformEdgeMap(g, 0.005)
-	em.SetError(1, 2, 0.35)
+	cal := flatCalibration(g, 0.005)
+	cal.SetEdgeError(1, 2, 0.35)
 	src := circuit.New(2)
 	src.CX(0, 1)
 	init := []int{0, 3}
-	model := noise.Johannesburg0819()
-	model.ReadoutError = 0
 	sumBlind, sumAware := 0.0, 0.0
 	for seed := int64(0); seed < 8; seed++ {
 		blind, err := Compile(src, g, Options{
@@ -225,21 +223,13 @@ func TestStochasticNoiseAwareImprovesSuccess(t *testing.T) {
 		aware, err := Compile(src, g, Options{
 			Pipeline: Conventional, Router: RouteStochastic,
 			InitialLayout: init, Seed: seed,
-			CostModel: device.NewWeightFunc(em.RouteWeight()),
+			CostModel: device.NewNoise(cal),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := noise.SuccessProbabilityEdges(blind.Physical, model, em)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, err := noise.SuccessProbabilityEdges(aware.Physical, model, em)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sumBlind += pb
-		sumAware += pa
+		sumBlind += success(t, blind, cal)
+		sumAware += success(t, aware, cal)
 	}
 	if sumAware < sumBlind {
 		t.Errorf("noise-aware stochastic mean success %v < blind %v", sumAware/8, sumBlind/8)

@@ -1,8 +1,6 @@
 // Cache-key-stable option fingerprints: the serving layer content-addresses
 // compiled artifacts by (canonical QASM, device, option set), so every option
-// that can change the compiled output must serialize into a canonical string
-// — and options that cannot (function-valued noise weights) must refuse a key
-// rather than silently aliasing distinct compilations.
+// that can change the compiled output must serialize into a canonical string.
 package compiler
 
 import (
@@ -131,14 +129,7 @@ func (p Placement) String() string {
 // evaluated under different calibrations can never alias, while a Uniform
 // compile with and without a calibration (identical QASM, different stats
 // block) also key apart.
-//
-// A cost model without a canonical serialization (device.WeightFunc) has no
-// key and returns an error: callers must compile those uncached.
-func (o Options) CacheKey() (string, error) {
-	costKey, err := o.costModel().CacheKey()
-	if err != nil {
-		return "", fmt.Errorf("compiler: options have no cache key: %w", err)
-	}
+func (o Options) CacheKey() string {
 	var b strings.Builder
 	// The optimizer segment is a constant: the saturating engine is the only
 	// optimizer, and keeping the segment keeps every stored key valid.
@@ -154,7 +145,7 @@ func (o Options) CacheKey() (string, error) {
 			fmt.Fprintf(&b, "%d", p)
 		}
 	}
-	fmt.Fprintf(&b, ";cost=%s;cal=", costKey)
+	fmt.Fprintf(&b, ";cost=%s;cal=", o.costModel().CacheKey())
 	if o.Calibration == nil {
 		b.WriteString("none")
 	} else {
@@ -166,5 +157,5 @@ func (o Options) CacheKey() (string, error) {
 	} else {
 		b.WriteString(o.Templates.Digest())
 	}
-	return b.String(), nil
+	return b.String()
 }

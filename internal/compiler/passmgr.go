@@ -19,7 +19,6 @@ import (
 	"trios/internal/optimize"
 	"trios/internal/rewrite"
 	"trios/internal/route"
-	"trios/internal/sched"
 	"trios/internal/topo"
 )
 
@@ -59,9 +58,6 @@ type PassContext struct {
 	fixupBase             *layout.Layout
 	// Metrics collects one entry per executed pass.
 	Metrics []PassMetric
-	// ScheduledDuration is filled by the optional Schedule pass: the ASAP
-	// duration of the compiled circuit under a gate-time model.
-	ScheduledDuration float64
 	// EstimatedSuccess and Makespan are filled by the fidelity pass when the
 	// compilation carries a calibration.
 	EstimatedSuccess float64
@@ -445,21 +441,6 @@ func SaturateOutputPass() Pass {
 
 // ---- Schedule and stats passes ----
 
-// SchedulePass computes the compiled circuit's ASAP duration under a
-// gate-time model and records it in ctx.ScheduledDuration. It does not
-// modify the circuit, so it composes onto any pipeline without changing
-// its output; it is not part of the default pipelines.
-func SchedulePass(times sched.GateTimes) Pass {
-	return NewPass("schedule:asap", func(ctx *PassContext, c *circuit.Circuit) error {
-		d, err := sched.Duration(c, times)
-		if err != nil {
-			return err
-		}
-		ctx.ScheduledDuration = d
-		return nil
-	})
-}
-
 // FidelityPass closes a calibrated pipeline: it schedules the compiled
 // circuit under the calibration's gate times and evaluates the closed-form
 // per-edge/per-qubit success estimate (per-qubit decoherence, the paper's
@@ -679,16 +660,15 @@ func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, front
 		return nil, err
 	}
 	return &Result{
-		Input:             input,
-		Physical:          ctx.Circuit,
-		Initial:           ctx.Init.VirtualToPhys(),
-		Final:             ctx.Final.VirtualToPhys(),
-		SwapsAdded:        ctx.SwapsAdded,
-		Graph:             g,
-		Passes:            ctx.Metrics,
-		ScheduledDuration: ctx.ScheduledDuration,
-		CostModel:         cm.Name(),
-		EstimatedSuccess:  ctx.EstimatedSuccess,
-		Makespan:          ctx.Makespan,
+		Input:            input,
+		Physical:         ctx.Circuit,
+		Initial:          ctx.Init.VirtualToPhys(),
+		Final:            ctx.Final.VirtualToPhys(),
+		SwapsAdded:       ctx.SwapsAdded,
+		Graph:            g,
+		Passes:           ctx.Metrics,
+		CostModel:        cm.Name(),
+		EstimatedSuccess: ctx.EstimatedSuccess,
+		Makespan:         ctx.Makespan,
 	}, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"trios/internal/benchmarks"
 	"trios/internal/decompose"
-	"trios/internal/sched"
 	"trios/internal/topo"
 )
 
@@ -147,37 +146,5 @@ func TestUnknownPipelineAndMode(t *testing.T) {
 	}
 	if _, err := Compile(c, g, Options{Pipeline: TriosPipeline, Mode: decompose.ToffoliMode(99)}); err == nil {
 		t.Fatal("expected error for unsupported toffoli mode")
-	}
-}
-
-// TestSchedulePassComposes runs a custom pipeline that appends the Schedule
-// pass and checks it records a positive duration without altering the
-// compiled circuit.
-func TestSchedulePassComposes(t *testing.T) {
-	b, _ := benchmarks.ByName("grovers-9")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := topo.Johannesburg()
-	opts := Options{Pipeline: TriosPipeline, Placement: PlaceGreedy, Seed: 3}
-	base, err := Compile(c, g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	passes, err := PipelinePasses(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	passes = append(passes, SchedulePass(sched.JohannesburgTimes()))
-	ctx := &PassContext{Graph: g, Opts: opts, Circuit: c}
-	if err := NewPassManager("custom", passes...).Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if !ctx.Circuit.Equal(base.Physical) {
-		t.Fatal("schedule pass changed the compiled circuit")
-	}
-	if ctx.ScheduledDuration <= 0 {
-		t.Fatalf("scheduled duration = %v, want > 0", ctx.ScheduledDuration)
 	}
 }

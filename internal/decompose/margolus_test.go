@@ -1,6 +1,8 @@
 package decompose
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"trios/internal/circuit"
@@ -103,9 +105,8 @@ func TestMCXCleanRPExactlyEqualsMCX(t *testing.T) {
 		// Clean-ancilla constructions agree only on the ancilla=|0>
 		// subspace; compare embedded states with ancillas zeroed.
 		for trial := 0; trial < 3; trial++ {
-			in := sim.NewRandomState(nc+1, int64(trial)) // controls + target
 			place := append(append([]int{}, controls...), target)
-			sa := embedAt(in, n, place)
+			sa := randomOn(t, n, place, int64(trial))
 			sb := sa.Copy()
 			if err := sa.ApplyCircuit(rp); err != nil {
 				t.Fatal(err)
@@ -154,20 +155,27 @@ func TestMappingAwareLowersRCCX(t *testing.T) {
 	}
 }
 
-// embedAt places the k-qubit state's qubit i at position place[i] of an
-// n-qubit register (others |0>).
-func embedAt(s *sim.State, n int, place []int) *sim.State {
-	outAmps := make([]complex128, 1<<uint(n))
-	for i := uint64(0); i < 1<<uint(s.NumQubits()); i++ {
-		var j uint64
-		for q := 0; q < s.NumQubits(); q++ {
-			if i&(1<<uint(q)) != 0 {
-				j |= 1 << uint(place[q])
-			}
+// randomOn prepares a seeded random entangled state of the qubits in place
+// on an n-qubit register, leaving every other qubit |0>: two layers of
+// random U3 rotations, each followed by a CX chain along place.
+func randomOn(t *testing.T, n int, place []int, seed int64) *sim.State {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	angle := func() float64 { return rng.Float64() * 2 * math.Pi }
+	c := circuit.New(n)
+	for layer := 0; layer < 2; layer++ {
+		for _, q := range place {
+			c.U3(angle(), angle(), angle(), q)
 		}
-		outAmps[j] = s.Amplitude(i)
+		for i := 0; i+1 < len(place); i++ {
+			c.CX(place[i], place[i+1])
+		}
 	}
-	return sim.FromAmplitudes(n, outAmps)
+	s := sim.NewState(n)
+	if err := s.ApplyCircuit(c); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func seqInts(start, count int) []int {

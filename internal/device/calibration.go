@@ -4,13 +4,12 @@
 // qubit coherence times, and gate durations — and one CostModel interface
 // turns it into the edge weights that drive layout and routing.
 //
-// Before this package, that data was fragmented: noise.EdgeMap held per-edge
-// errors, sched.GateTimes held durations, noise.Params held device averages,
-// and layout kept a private distance matrix. A Calibration is the single
-// source all of them now derive from, it round-trips through JSON so daily
-// calibration data for arbitrary devices can be loaded from disk, and its
-// Digest gives the serving layer a content address that keeps compile caches
-// correct across calibrations.
+// A Calibration is the one per-edge and per-qubit noise characterization:
+// scheduling reads its gate durations, the success estimate its error rates
+// and coherence times, and routing and placement its edge weights. It
+// round-trips through JSON so daily calibration data for arbitrary devices
+// can be loaded from disk, and its Digest gives the serving layer a content
+// address that keeps compile caches correct across calibrations.
 package device
 
 import (
@@ -103,12 +102,6 @@ func (c *Calibration) MeanT1() float64 { return mean(c.T1) }
 
 // MeanT2 returns the device-average dephasing time.
 func (c *Calibration) MeanT2() float64 { return mean(c.T2) }
-
-// MeanOneQubitError returns the device-average one-qubit gate error.
-func (c *Calibration) MeanOneQubitError() float64 { return mean(c.OneQubitError) }
-
-// MeanReadoutError returns the device-average measurement error.
-func (c *Calibration) MeanReadoutError() float64 { return mean(c.ReadoutError) }
 
 // MeanTwoQubitError returns the device-average CNOT error.
 func (c *Calibration) MeanTwoQubitError() float64 {

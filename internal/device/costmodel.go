@@ -1,7 +1,6 @@
 package device
 
 import (
-	"fmt"
 	"sync"
 
 	"trios/internal/topo"
@@ -25,9 +24,8 @@ type CostModel interface {
 	// (graph, model) pair and every subsequent query is a table lookup.
 	Oracle(g *topo.Graph) *topo.WeightedOracle
 	// CacheKey returns a canonical identity for content-addressed compile
-	// caching, or an error when the model has no canonical serialization
-	// (function-valued weights); such compilations must stay uncached.
-	CacheKey() (string, error)
+	// caching: equal keys must mean equal edge weights.
+	CacheKey() string
 }
 
 // Uniform is the noise-blind cost model: every edge costs one hop. Routing
@@ -47,44 +45,25 @@ func (Uniform) Weight() func(a, b int) float64 { return nil }
 func (Uniform) Oracle(g *topo.Graph) *topo.WeightedOracle { return nil }
 
 // CacheKey implements CostModel.
-func (Uniform) CacheKey() (string, error) { return "uniform", nil }
-
-// oracleCache memoizes one WeightedOracle per graph for a fixed weight
-// function. Keying on *topo.Graph identity is deliberate: graphs are
-// documented read-only once queried, and long-lived callers (the daemon, the
-// batch engine) already share one Graph per device.
-type oracleCache struct {
-	weight func(a, b int) float64
-	mu     sync.Mutex
-	m      map[*topo.Graph]*topo.WeightedOracle
-}
-
-func (oc *oracleCache) oracle(g *topo.Graph) *topo.WeightedOracle {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	if o, ok := oc.m[g]; ok {
-		return o
-	}
-	if oc.m == nil {
-		oc.m = make(map[*topo.Graph]*topo.WeightedOracle)
-	}
-	o := topo.NewWeightedOracle(g, oc.weight)
-	oc.m[g] = o
-	return o
-}
+func (Uniform) CacheKey() string { return "uniform" }
 
 // Noise is the calibration-driven cost model: edges weigh -log(1 - e2), so
 // minimum-weight paths maximize CNOT success probability (§4).
 type Noise struct {
-	cal *Calibration
-	oc  oracleCache
+	cal    *Calibration
+	weight func(a, b int) float64
+
+	// oracles memoizes one WeightedOracle per graph. Keying on *topo.Graph
+	// identity is deliberate: graphs are documented read-only once queried,
+	// and long-lived callers (the daemon, the batch engine) already share
+	// one Graph per device.
+	mu      sync.Mutex
+	oracles map[*topo.Graph]*topo.WeightedOracle
 }
 
 // NewNoise builds the noise-aware cost model for a calibration.
 func NewNoise(cal *Calibration) *Noise {
-	n := &Noise{cal: cal}
-	n.oc.weight = cal.RouteWeight()
-	return n
+	return &Noise{cal: cal, weight: cal.RouteWeight()}
 }
 
 // Calibration returns the model's underlying calibration.
@@ -94,15 +73,27 @@ func (n *Noise) Calibration() *Calibration { return n.cal }
 func (n *Noise) Name() string { return "noise:" + n.cal.Name }
 
 // Weight implements CostModel.
-func (n *Noise) Weight() func(a, b int) float64 { return n.oc.weight }
+func (n *Noise) Weight() func(a, b int) float64 { return n.weight }
 
 // Oracle implements CostModel, memoizing per graph.
-func (n *Noise) Oracle(g *topo.Graph) *topo.WeightedOracle { return n.oc.oracle(g) }
+func (n *Noise) Oracle(g *topo.Graph) *topo.WeightedOracle {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if o, ok := n.oracles[g]; ok {
+		return o
+	}
+	if n.oracles == nil {
+		n.oracles = make(map[*topo.Graph]*topo.WeightedOracle)
+	}
+	o := topo.NewWeightedOracle(g, n.weight)
+	n.oracles[g] = o
+	return o
+}
 
 // CacheKey implements CostModel: the calibration's content digest, so two
 // calibrations with equal values share cached artifacts and any difference
 // separates them.
-func (n *Noise) CacheKey() (string, error) { return "noise:" + n.cal.Digest(), nil }
+func (n *Noise) CacheKey() string { return "noise:" + n.cal.Digest() }
 
 // noiseModels memoizes the canonical Noise model per Calibration identity,
 // bounded so a long-lived process that keeps loading fresh calibrations from
@@ -134,35 +125,4 @@ func NoiseFor(cal *Calibration) *Noise {
 	m := NewNoise(cal)
 	noiseModels.m[cal] = m
 	return m
-}
-
-// WeightFunc adapts an arbitrary edge-weight function to the CostModel
-// interface, for ad-hoc weight landscapes (compiler.Options{CostModel:
-// NewWeightFunc(fn)}). It memoizes oracles like Noise but has no canonical
-// cache identity.
-type WeightFunc struct {
-	oc oracleCache
-}
-
-// NewWeightFunc wraps fn (which must be non-nil) as a cost model.
-func NewWeightFunc(fn func(a, b int) float64) *WeightFunc {
-	if fn == nil {
-		panic("device: NewWeightFunc(nil); use Uniform for hop-count costs")
-	}
-	return &WeightFunc{oc: oracleCache{weight: fn}}
-}
-
-// Name implements CostModel.
-func (*WeightFunc) Name() string { return "custom" }
-
-// Weight implements CostModel.
-func (w *WeightFunc) Weight() func(a, b int) float64 { return w.oc.weight }
-
-// Oracle implements CostModel.
-func (w *WeightFunc) Oracle(g *topo.Graph) *topo.WeightedOracle { return w.oc.oracle(g) }
-
-// CacheKey implements CostModel: function values have no canonical
-// serialization, so compilations under a WeightFunc cannot be cached.
-func (*WeightFunc) CacheKey() (string, error) {
-	return "", fmt.Errorf("device: function-valued cost models have no cache key")
 }

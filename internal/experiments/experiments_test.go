@@ -110,12 +110,20 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestCompileBenchmarkAndEvaluate(t *testing.T) {
-	b := mustBench(t, "cnx_dirty-11")
-	p, err := CompileBenchmark(b, topo.Grid5x4(), 4)
+// compileOne compiles one benchmark with both pipelines on a topology, as
+// the Figure 9-11 sweeps do.
+func compileOne(t *testing.T, b benchmarks.Benchmark, g *topo.Graph, seed int64) *CompiledPair {
+	t.Helper()
+	pairs, err := compilePairs([]benchmarks.Benchmark{b}, []*topo.Graph{g}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pairs[0]
+}
+
+func TestCompileBenchmarkAndEvaluate(t *testing.T) {
+	b := mustBench(t, "cnx_dirty-11")
+	p := compileOne(t, b, topo.Grid5x4(), 4)
 	r, err := p.Evaluate(DefaultModel())
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +141,7 @@ func TestCompileBenchmarkAndEvaluate(t *testing.T) {
 
 func TestToffoliFreeBenchmarkNeutral(t *testing.T) {
 	b := mustBench(t, "bv-20")
-	p, err := CompileBenchmark(b, topo.Johannesburg(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := compileOne(t, b, topo.Johannesburg(), 4)
 	r, err := p.Evaluate(DefaultModel())
 	if err != nil {
 		t.Fatal(err)
@@ -197,10 +202,7 @@ func TestReportWritersProduceOutput(t *testing.T) {
 	WriteFig8(&sb, rs)
 
 	b := mustBench(t, "cnx_inplace-4")
-	p, err := CompileBenchmark(b, topo.Line20(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := compileOne(t, b, topo.Line20(), 2)
 	br, err := p.Evaluate(DefaultModel())
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,21 @@ import (
 // model against the paper: the distance label printed under each of the 35
 // Figure-6/7 triples must equal TripletDistance on our coupling graph. A
 // single wrong edge in topo.Johannesburg would break several labels.
+// PaperTripletDistances returns the distance labels printed under each
+// triple in Figures 6 and 7, aligned with PaperTriplets: the paper's own
+// data, which TripletDistance must reproduce.
+func PaperTripletDistances() []int {
+	return []int{
+		10, 10, 9, 9, 9,
+		8, 8, 8, 8, 8,
+		7, 7, 7, 7, 7,
+		6, 6, 6, 6, 6,
+		5, 5, 5, 5, 5,
+		4, 4, 4, 4, 4,
+		3, 3, 3, 2, 2,
+	}
+}
+
 func TestPaperTripletDistanceLabels(t *testing.T) {
 	g := topo.Johannesburg()
 	trips := PaperTriplets()

@@ -97,7 +97,7 @@ func TestProxyKeyStickiness(t *testing.T) {
 	p, front := fleetOf(t, fakes)
 
 	body := compileBody(1)
-	home := p.Ring().Home(keyOf(t, body))
+	home := p.ring.Order(keyOf(t, body))[0]
 	for i := 0; i < 10; i++ {
 		resp, raw := postFleet(t, front.URL, body)
 		if resp.StatusCode != http.StatusOK {
@@ -148,7 +148,7 @@ func TestProxyRetriesNextReplica(t *testing.T) {
 	victim := 1
 	body := ""
 	for seed := 0; seed < 1000; seed++ {
-		if b := compileBody(seed); p.Ring().Home(keyOf(t, b)) == victim {
+		if b := compileBody(seed); p.ring.Order(keyOf(t, b))[0] == victim {
 			body = b
 			break
 		}
@@ -168,8 +168,8 @@ func TestProxyRetriesNextReplica(t *testing.T) {
 	if resp.Header.Get("X-Trios-Fleet-Attempts") != "2" {
 		t.Fatalf("failover took %s attempts, want 2", resp.Header.Get("X-Trios-Fleet-Attempts"))
 	}
-	if p.Health().State(victim) != StatusDown {
-		t.Fatalf("victim state %v, want down", p.Health().State(victim))
+	if p.health.State(victim) != StatusDown {
+		t.Fatalf("victim state %v, want down", p.health.State(victim))
 	}
 
 	// The next request with the same key skips the dead replica outright.
@@ -190,14 +190,14 @@ func TestProxyAvoidsDrainingReplica(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, `{"status":"draining"}`)
 	}
-	p.Health().sweep(context.Background())
-	if got := p.Health().State(victim); got != StatusDraining {
+	p.health.sweep(context.Background())
+	if got := p.health.State(victim); got != StatusDraining {
 		t.Fatalf("victim state %v after sweep, want draining", got)
 	}
 
 	body := ""
 	for seed := 0; seed < 1000; seed++ {
-		if b := compileBody(seed); p.Ring().Home(keyOf(t, b)) == victim {
+		if b := compileBody(seed); p.ring.Order(keyOf(t, b))[0] == victim {
 			body = b
 			break
 		}
@@ -222,7 +222,7 @@ func TestProxyAvoidsDrainingReplica(t *testing.T) {
 func TestProxyHealthzAggregation(t *testing.T) {
 	fakes := []*fakeReplica{newFakeReplica(t, "r0"), newFakeReplica(t, "r1")}
 	p, front := fleetOf(t, fakes)
-	p.Health().sweep(context.Background())
+	p.health.sweep(context.Background())
 
 	get := func() (int, fleetHealth) {
 		t.Helper()
@@ -241,11 +241,11 @@ func TestProxyHealthzAggregation(t *testing.T) {
 	if code, body := get(); code != http.StatusOK || body.Status != "ok" || len(body.Replicas) != 2 {
 		t.Fatalf("healthy fleet: code %d body %+v", code, body)
 	}
-	p.Health().MarkDown(0)
+	p.health.MarkDown(0)
 	if code, body := get(); code != http.StatusOK || body.Status != "degraded" {
 		t.Fatalf("degraded fleet: code %d body %+v", code, body)
 	}
-	p.Health().MarkDown(1)
+	p.health.MarkDown(1)
 	if code, body := get(); code != http.StatusServiceUnavailable || body.Status != "down" {
 		t.Fatalf("down fleet: code %d body %+v", code, body)
 	}

@@ -91,12 +91,3 @@ func (r *Ring) Order(key string) []int {
 	}
 	return out
 }
-
-// Home returns the key's home replica index (-1 on an empty ring).
-func (r *Ring) Home(key string) int {
-	order := r.Order(key)
-	if len(order) == 0 {
-		return -1
-	}
-	return order[0]
-}

@@ -30,9 +30,6 @@ func TestRingOrderComplete(t *testing.T) {
 			}
 			seen[i] = true
 		}
-		if order[0] != ring.Home(key) {
-			t.Fatalf("Order[0]=%d != Home=%d", order[0], ring.Home(key))
-		}
 		again := ring.Order(key)
 		for i := range order {
 			if order[i] != again[i] {
@@ -49,7 +46,7 @@ func TestRingDistribution(t *testing.T) {
 	ring := NewRing(testReplicas(replicas), 0)
 	counts := make([]int, replicas)
 	for k := 0; k < keys; k++ {
-		counts[ring.Home(fmt.Sprintf("sha256:key-%d", k))]++
+		counts[ring.Order(fmt.Sprintf("sha256:key-%d", k))[0]]++
 	}
 	fair := keys / replicas
 	for i, c := range counts {
@@ -69,7 +66,7 @@ func TestRingMinimalRemap(t *testing.T) {
 	moved := 0
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("sha256:key-%d", k)
-		before, after := full.Home(key), smaller.Home(key)
+		before, after := full.Order(key)[0], smaller.Order(key)[0]
 		if before == 3 {
 			moved++
 			continue // its owner left; it must land somewhere else
@@ -103,8 +100,5 @@ func TestRingEmpty(t *testing.T) {
 	ring := NewRing(nil, 0)
 	if got := ring.Order("sha256:abc"); len(got) != 0 {
 		t.Fatalf("empty ring Order = %v", got)
-	}
-	if home := ring.Home("sha256:abc"); home != -1 {
-		t.Fatalf("empty ring Home = %d, want -1", home)
 	}
 }

@@ -12,7 +12,7 @@ import (
 func TestIdentity(t *testing.T) {
 	l := Identity(5)
 	for i := 0; i < 5; i++ {
-		if l.Phys(i) != i || l.Virt(i) != i {
+		if l.Phys(i) != i || l.p2v[i] != i {
 			t.Fatalf("identity wrong at %d", i)
 		}
 	}
@@ -32,7 +32,7 @@ func TestFromVirtualToPhysValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Phys(0) != 2 || l.Virt(2) != 0 {
+	if l.Phys(0) != 2 || l.p2v[2] != 0 {
 		t.Error("mapping wrong")
 	}
 }
@@ -40,7 +40,7 @@ func TestFromVirtualToPhysValidation(t *testing.T) {
 func TestSwapPhys(t *testing.T) {
 	l := Identity(4)
 	l.SwapPhys(1, 3)
-	if l.Phys(1) != 3 || l.Phys(3) != 1 || l.Virt(1) != 3 || l.Virt(3) != 1 {
+	if l.Phys(1) != 3 || l.Phys(3) != 1 || l.p2v[1] != 3 || l.p2v[3] != 1 {
 		t.Error("swap wrong")
 	}
 	if err := l.Validate(); err != nil {
@@ -103,19 +103,18 @@ func TestGreedyPlacesInteractingQubitsClose(t *testing.T) {
 		c.CX(0, 1)
 	}
 	c.CX(1, 2)
-	l, err := Greedy(c, g)
+	l, err := GreedyWeighted(c, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	d := g.DistTable()
-	if d.At(l.Phys(0), l.Phys(1)) != 1 {
-		t.Errorf("heavily interacting pair placed %d apart", d.At(l.Phys(0), l.Phys(1)))
+	if d := g.Dist(l.Phys(0), l.Phys(1)); d != 1 {
+		t.Errorf("heavily interacting pair placed %d apart", d)
 	}
-	if d.At(l.Phys(1), l.Phys(2)) > 2 {
-		t.Errorf("connected pair placed %d apart", d.At(l.Phys(1), l.Phys(2)))
+	if d := g.Dist(l.Phys(1), l.Phys(2)); d > 2 {
+		t.Errorf("connected pair placed %d apart", d)
 	}
 }
 
@@ -123,12 +122,11 @@ func TestGreedyHandlesToffoliTrio(t *testing.T) {
 	g := topo.Johannesburg()
 	c := circuit.New(3)
 	c.CCX(0, 1, 2)
-	l, err := Greedy(c, g)
+	l, err := GreedyWeighted(c, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := g.DistTable()
-	total := d.At(l.Phys(0), l.Phys(1)) + d.At(l.Phys(1), l.Phys(2)) + d.At(l.Phys(0), l.Phys(2))
+	total := g.Dist(l.Phys(0), l.Phys(1)) + g.Dist(l.Phys(1), l.Phys(2)) + g.Dist(l.Phys(0), l.Phys(2))
 	if total > 4 {
 		t.Errorf("trio placed with total distance %d", total)
 	}
@@ -137,7 +135,7 @@ func TestGreedyHandlesToffoliTrio(t *testing.T) {
 func TestGreedyTooManyQubits(t *testing.T) {
 	g := topo.Line(3)
 	c := circuit.New(5)
-	if _, err := Greedy(c, g); err == nil {
+	if _, err := GreedyWeighted(c, g, nil); err == nil {
 		t.Error("expected error for oversize circuit")
 	}
 }
@@ -146,11 +144,11 @@ func TestGreedyDeterministic(t *testing.T) {
 	g := topo.Grid5x4()
 	c := circuit.New(6)
 	c.CCX(0, 1, 2).CX(2, 3).CCX(3, 4, 5)
-	l1, err := Greedy(c, g)
+	l1, err := GreedyWeighted(c, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, _ := Greedy(c, g)
+	l2, _ := GreedyWeighted(c, g, nil)
 	for v := 0; v < 20; v++ {
 		if l1.Phys(v) != l2.Phys(v) {
 			t.Fatal("greedy placement not deterministic")
@@ -177,7 +175,7 @@ func TestGreedyOnAllPaperTopologies(t *testing.T) {
 		c.CCX(i, i+1, i+2)
 	}
 	for _, g := range topo.PaperTopologies() {
-		l, err := Greedy(c, g)
+		l, err := GreedyWeighted(c, g, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}

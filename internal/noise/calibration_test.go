@@ -7,8 +7,32 @@ import (
 	"trios/internal/circuit"
 	"trios/internal/device"
 	"trios/internal/sched"
-	"trios/internal/topo"
 )
+
+// ParamsFrom reduces a calibration to the scalar device-average model the
+// paper's §2.6 closed form uses; the tests below hold SuccessWithCalibration
+// to that model through it. For a flat calibration the reduction is
+// lossless: ParamsFrom(device.JohannesburgFlat()) equals Johannesburg0819
+// (plus the chosen coherence mode).
+func ParamsFrom(cal *device.Calibration, mode CoherenceMode) Params {
+	return Params{
+		T1:            cal.MeanT1(),
+		T2:            cal.MeanT2(),
+		Coherence:     mode,
+		Times:         cal.Times,
+		OneQubitError: mean(cal.OneQubitError),
+		TwoQubitError: cal.MeanTwoQubitError(),
+		ReadoutError:  mean(cal.ReadoutError),
+	}
+}
+
+func mean(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
 
 // smallCompiled returns a compiled-shape circuit legal on Johannesburg.
 func smallCompiled() *circuit.Circuit {
@@ -19,7 +43,7 @@ func smallCompiled() *circuit.Circuit {
 }
 
 // TestParamsFromFlatMatchesJohannesburg0819 pins the collapse of the
-// GateTimes/EdgeMap/Params split: reducing the flat registry calibration
+// GateTimes/Params split: reducing the flat registry calibration
 // reproduces the hand-written constants model exactly.
 func TestParamsFromFlatMatchesJohannesburg0819(t *testing.T) {
 	got := ParamsFrom(device.JohannesburgFlat(), CoherenceProgram)
@@ -64,15 +88,15 @@ func TestSuccessWithFlatCalibrationMatchesScalarModel(t *testing.T) {
 }
 
 // TestSuccessWithCalibrationMatchesEdgeModel: with varied per-edge data and
-// flat per-qubit data, the calibrated form must agree with the legacy
-// SuccessProbabilityEdges + EdgeMapFrom adapter.
+// flat per-qubit data, the calibrated form must agree with the per-edge
+// reference SuccessProbabilityEdges over the calibration's own error table.
 func TestSuccessWithCalibrationMatchesEdgeModel(t *testing.T) {
 	cal := device.JohannesburgFlat().Clone()
 	cal.SetEdgeError(0, 1, 0.08)
 	cal.SetEdgeError(2, 3, 0.21)
 	c := smallCompiled()
 	p := ParamsFrom(cal, CoherencePerQubit)
-	want, err := SuccessProbabilityEdges(c, p, EdgeMapFrom(cal))
+	want, err := SuccessProbabilityEdges(c, p, cal.TwoQubitError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,30 +170,5 @@ func TestSuccessWithCalibrationRejectsUnfit(t *testing.T) {
 	big.CX(0, 1)
 	if _, _, err := SuccessWithCalibration(big, cal, CoherenceProgram); err == nil {
 		t.Error("accepted a circuit larger than the calibration")
-	}
-}
-
-// TestEdgeMapFrom checks the adapter exposes exactly the calibration's table.
-func TestEdgeMapFrom(t *testing.T) {
-	cal, err := device.ByName("johannesburg-0819")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := EdgeMapFrom(cal)
-	for _, e := range topo.Johannesburg().Edges() {
-		want, err := cal.EdgeError(e[0], e[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.Error(e[0], e[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("edge (%d,%d): %v != %v", e[0], e[1], got, want)
-		}
-	}
-	if _, err := m.Error(0, 13); err == nil {
-		t.Error("adapter invented a coupling")
 	}
 }

@@ -1,60 +1,68 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"trios/internal/circuit"
+	"trios/internal/sched"
 	"trios/internal/topo"
 )
 
-func TestUniformEdgeMap(t *testing.T) {
-	g := topo.Line(4)
-	m := UniformEdgeMap(g, 0.01)
-	e, err := m.Error(1, 2)
-	if err != nil || e != 0.01 {
-		t.Errorf("error = %v, %v", e, err)
+// SuccessProbabilityEdges is SuccessProbability with per-edge two-qubit
+// errors: every CX is charged its own coupling's error rate (errs, keyed by
+// the ordered pair) instead of the device average. The circuit must already
+// be compiled (only basis gates on coupled pairs); SWAPs count as 3 uses of
+// their edge. It is the independent reference SuccessWithCalibration is held
+// to.
+func SuccessProbabilityEdges(c *circuit.Circuit, p Params, errs map[[2]int]float64) (float64, error) {
+	if p.T1 <= 0 || p.T2 <= 0 {
+		return 0, fmt.Errorf("noise: non-positive coherence time")
 	}
-	if _, err := m.Error(0, 2); err == nil {
-		t.Error("expected error for non-edge")
+	logP := 0.0
+	oneQ, meas := 0, 0
+	for i, g := range c.Gates {
+		switch {
+		case g.Name == circuit.Barrier:
+		case g.Name == circuit.Measure:
+			meas++
+		case g.IsTwoQubit():
+			a, b := g.Qubits[0], g.Qubits[1]
+			e, ok := errs[[2]int{min(a, b), max(a, b)}]
+			if !ok {
+				return 0, fmt.Errorf("gate %d: (%d,%d) is not a coupling", i, a, b)
+			}
+			uses := 1
+			if g.Name == circuit.SWAP {
+				uses = 3
+			}
+			logP += float64(uses) * math.Log(1-e)
+		case len(g.Qubits) == 1:
+			oneQ++
+		default:
+			return 0, fmt.Errorf("noise: gate %d (%v) not supported by the per-edge model; compile first", i, g.Name)
+		}
 	}
-	// Symmetric lookup.
-	e2, _ := m.Error(2, 1)
-	if e2 != 0.01 {
-		t.Error("edge lookup not symmetric")
+	d, err := sched.Duration(c, p.Times)
+	if err != nil {
+		return 0, err
 	}
+	logP += float64(oneQ)*math.Log(1-p.OneQubitError) + float64(meas)*math.Log(1-p.ReadoutError)
+	exponent := d/p.T1 + d/p.T2
+	if p.Coherence == CoherencePerQubit {
+		exponent *= float64(activeQubits(c))
+	}
+	return math.Exp(logP - exponent), nil
 }
 
-func TestSyntheticCalibrationSeeded(t *testing.T) {
-	g := topo.Johannesburg()
-	a := SyntheticCalibration(g, 0.01, 0.5, 3, 42)
-	b := SyntheticCalibration(g, 0.01, 0.5, 3, 42)
-	for _, e := range g.Edges() {
-		ea, _ := a.Error(e[0], e[1])
-		eb, _ := b.Error(e[0], e[1])
-		if ea != eb {
-			t.Fatal("same seed gave different calibration")
-		}
-		if ea <= 0 || ea > 0.5 {
-			t.Fatalf("edge error %v out of range", ea)
-		}
+// uniformEdges assigns the same error to every coupling of g.
+func uniformEdges(g *topo.Graph, e float64) map[[2]int]float64 {
+	errs := make(map[[2]int]float64, g.NumEdges())
+	for _, edge := range g.Edges() {
+		errs[edge] = e
 	}
-	if a.WorstError() <= 0.01 {
-		t.Error("hot edges should exceed the mean")
-	}
-}
-
-func TestRouteWeightOrdering(t *testing.T) {
-	g := topo.Line(3)
-	m := UniformEdgeMap(g, 0.01)
-	m.SetError(0, 1, 0.2)
-	w := m.RouteWeight()
-	if w(0, 1) <= w(1, 2) {
-		t.Error("noisier edge should weigh more")
-	}
-	if !math.IsInf(w(0, 2), 1) {
-		t.Error("non-edge should weigh infinity")
-	}
+	return errs
 }
 
 func TestSuccessProbabilityEdgesMatchesUniform(t *testing.T) {
@@ -62,7 +70,7 @@ func TestSuccessProbabilityEdgesMatchesUniform(t *testing.T) {
 	g := topo.Line(3)
 	p := Johannesburg0819()
 	p.ReadoutError = 0
-	m := UniformEdgeMap(g, p.TwoQubitError)
+	errs := uniformEdges(g, p.TwoQubitError)
 	c := circuit.New(3)
 	c.H(0)
 	c.CX(0, 1)
@@ -72,7 +80,7 @@ func TestSuccessProbabilityEdgesMatchesUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perEdge, err := SuccessProbabilityEdges(c, p, m)
+	perEdge, err := SuccessProbabilityEdges(c, p, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +92,15 @@ func TestSuccessProbabilityEdgesMatchesUniform(t *testing.T) {
 func TestSuccessProbabilityEdgesPenalizesHotEdge(t *testing.T) {
 	g := topo.Line(3)
 	p := Johannesburg0819()
-	m := UniformEdgeMap(g, 0.01)
+	errs := uniformEdges(g, 0.01)
 	c := circuit.New(3)
 	c.CX(0, 1)
-	before, err := SuccessProbabilityEdges(c, p, m)
+	before, err := SuccessProbabilityEdges(c, p, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetError(0, 1, 0.3)
-	after, err := SuccessProbabilityEdges(c, p, m)
+	errs[[2]int{0, 1}] = 0.3
+	after, err := SuccessProbabilityEdges(c, p, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +111,15 @@ func TestSuccessProbabilityEdgesPenalizesHotEdge(t *testing.T) {
 
 func TestSuccessProbabilityEdgesRejectsNonCompiled(t *testing.T) {
 	g := topo.Line(3)
-	m := UniformEdgeMap(g, 0.01)
+	errs := uniformEdges(g, 0.01)
 	c := circuit.New(3)
 	c.CCX(0, 1, 2)
-	if _, err := SuccessProbabilityEdges(c, Johannesburg0819(), m); err == nil {
+	if _, err := SuccessProbabilityEdges(c, Johannesburg0819(), errs); err == nil {
 		t.Error("expected error for undecomposed toffoli")
 	}
 	c2 := circuit.New(3)
 	c2.CX(0, 2) // not a coupling
-	if _, err := SuccessProbabilityEdges(c2, Johannesburg0819(), m); err == nil {
+	if _, err := SuccessProbabilityEdges(c2, Johannesburg0819(), errs); err == nil {
 		t.Error("expected error for off-coupling cx")
 	}
 }

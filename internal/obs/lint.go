@@ -24,7 +24,9 @@ import (
 //     le="+Inf" bucket that matches the family's _count sample
 //
 // The serving and fleet /metrics handlers are lint-tested against it so a
-// malformed or duplicated series fails CI instead of a scrape.
+// malformed or duplicated series fails CI instead of a scrape. No production
+// code calls it; it is not in a _test.go file because those tests live in
+// other packages (service, fleet), which cannot import test files.
 func LintExposition(r io.Reader) []string {
 	var problems []string
 	addf := func(format string, args ...any) {

@@ -44,9 +44,6 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// String builds an Attr (reads better than a struct literal at call sites).
-func String(key, value string) Attr { return Attr{Key: key, Value: value} }
-
 // SpanData is one finished span as recorded in its trace. IDs are hex
 // strings so the JSON form needs no further decoding.
 type SpanData struct {

@@ -7,6 +7,21 @@ import (
 	"trios/internal/benchmarks"
 )
 
+// Canonical parses OpenQASM source and re-emits it in Emit's normal form, so
+// that textually different but semantically identical programs (comments,
+// whitespace, statement grouping, pi-expression spellings) serialize to the
+// same bytes. The serving layer content-addresses its compile cache by
+// hashing exactly this Parse∘Emit normal form (service.Resolve performs the
+// two steps inline because it also needs the parsed circuit), so the tests
+// below pin its properties: any change to it remaps every cache key.
+func Canonical(src string) (string, error) {
+	c, err := Parse(src)
+	if err != nil {
+		return "", err
+	}
+	return Emit(c)
+}
+
 // TestCanonicalNormalizes checks that comment, whitespace, and pi-spelling
 // variations of the same program canonicalize to identical bytes.
 func TestCanonicalNormalizes(t *testing.T) {

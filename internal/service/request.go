@@ -126,10 +126,7 @@ func Resolve(req CompileRequest) (*JobSpec, error) {
 	if err != nil {
 		return nil, badRequest("input does not serialize: %v", err)
 	}
-	key, err := specKey(canon, g, opts)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
+	key := specKey(canon, g, opts)
 	digest := sha256.Sum256([]byte(canon))
 	return &JobSpec{
 		Input:         input,
@@ -145,32 +142,23 @@ func Resolve(req CompileRequest) (*JobSpec, error) {
 // QASM, device name, and option fingerprint. The option fingerprint includes
 // the template-library digest, so template-stitched artifacts never alias
 // artifacts compiled without the library.
-func specKey(canon string, g *topo.Graph, opts compiler.Options) (string, error) {
-	optKey, err := opts.CacheKey()
-	if err != nil {
-		return "", err
-	}
+func specKey(canon string, g *topo.Graph, opts compiler.Options) string {
 	h := sha256.New()
 	h.Write([]byte(canon))
 	h.Write([]byte{0})
 	h.Write([]byte(g.Name()))
 	h.Write([]byte{0})
-	h.Write([]byte(optKey))
-	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
+	h.Write([]byte(opts.CacheKey()))
+	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
 // AttachTemplates wires a template source into a resolved spec and recomputes
 // the content address (the library digest is part of the option fingerprint).
 // The daemon calls this after Resolve for every request when it was started
 // with a warmed template store.
-func (spec *JobSpec) AttachTemplates(ts compiler.TemplateSource) error {
+func (spec *JobSpec) AttachTemplates(ts compiler.TemplateSource) {
 	spec.Opts.Templates = ts
-	key, err := specKey(spec.CanonicalQASM, spec.Graph, spec.Opts)
-	if err != nil {
-		return err
-	}
-	spec.Key = key
-	return nil
+	spec.Key = specKey(spec.CanonicalQASM, spec.Graph, spec.Opts)
 }
 
 func resolveInput(req CompileRequest) (*circuit.Circuit, error) {

@@ -58,8 +58,8 @@ func TestCacheKeyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const wantOpts = "pipeline=trios;router=direct;toffoli=auto;placement=greedy;seed=1;optimize=false;optimizer=saturate;layout=none;cost=uniform;cal=none;templates=none"
-	if got, err := opts.CacheKey(); err != nil || got != wantOpts {
-		t.Errorf("default CacheKey = %q, %v; want %q", got, err, wantOpts)
+	if got := opts.CacheKey(); got != wantOpts {
+		t.Errorf("default CacheKey = %q; want %q", got, wantOpts)
 	}
 	var req CompileRequest
 	if err := json.Unmarshal([]byte(`{"benchmark":"cnx_dirty-11","optimize":true,"seed":3}`), &req); err != nil {

@@ -69,7 +69,9 @@ func ClassicalRun(c *circuit.Circuit, input uint64) (uint64, error) {
 
 // SameClassicalFunction exhaustively checks that two classical circuits on
 // the same qubit count compute the same permutation of basis states, up to
-// maxInputs inputs (all inputs if the space is smaller).
+// maxInputs inputs (all inputs if the space is smaller). No production code
+// calls it: it is the reference the decompose tests check multi-controlled
+// decompositions against, exported because they live in another package.
 func SameClassicalFunction(a, b *circuit.Circuit, maxInputs int) (bool, error) {
 	if a.NumQubits != b.NumQubits {
 		return false, fmt.Errorf("sim: qubit count mismatch %d vs %d", a.NumQubits, b.NumQubits)

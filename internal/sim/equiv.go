@@ -18,7 +18,10 @@ const EquivalenceTolerance = 1e-9
 //
 // The check runs on the engine's fused dense kernels: each circuit compiles
 // to a fused program once and is re-run across trials. Use Engine.Verify to
-// additionally dispatch Clifford pairs to the stabilizer backend.
+// additionally dispatch Clifford pairs to the stabilizer backend. No
+// production code calls it: it is the unitary-equivalence oracle the tests
+// of decompose, rewrite, optimize, qasm, compiler and benchmarks share,
+// exported because those tests live in other packages.
 func Equivalent(a, b *circuit.Circuit, trials int, seed int64) (bool, error) {
 	if a.NumQubits != b.NumQubits {
 		return false, fmt.Errorf("sim: qubit count mismatch %d vs %d", a.NumQubits, b.NumQubits)

@@ -67,17 +67,6 @@ func NewRandomState(n int, seed int64) *State {
 	return s
 }
 
-// FromAmplitudes builds a state from explicit amplitudes; len(amps) must be
-// 2^n and the vector is used as-is (callers are responsible for norm).
-func FromAmplitudes(n int, amps []complex128) *State {
-	if len(amps) != 1<<uint(n) {
-		panic(fmt.Sprintf("sim: %d amplitudes for %d qubits", len(amps), n))
-	}
-	s := NewState(n)
-	copy(s.amp, amps)
-	return s
-}
-
 // NumQubits returns the number of qubits in the state.
 func (s *State) NumQubits() int { return s.n }
 

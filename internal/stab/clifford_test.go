@@ -63,6 +63,22 @@ func TestClassifierAgreesWithBackend(t *testing.T) {
 	}
 }
 
+// IsClifford reports whether every gate of a circuit is recognized as
+// Clifford by a dry run on a scratch tableau: the reference the structural
+// classifier circuit.IsClifford is held to.
+func IsClifford(c *circuit.Circuit) bool {
+	s := NewState(max(1, c.NumQubits))
+	for i := range c.Gates {
+		if c.Gates[i].Name == circuit.Measure {
+			continue
+		}
+		if err := s.ApplyGate(c.Gates[i]); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // TestIsCliffordMatchesCircuitClassifier checks the circuit-level dry-run
 // classifier against the structural one on random circuits.
 func TestIsCliffordMatchesCircuitClassifier(t *testing.T) {

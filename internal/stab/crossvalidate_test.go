@@ -13,31 +13,23 @@ import (
 	"trios/internal/stab"
 )
 
-// pauliExpectation computes <psi|P|psi> for a Pauli string on a statevector.
-func pauliExpectation(t *testing.T, psi *sim.State, xs, zs []bool, sign uint8) float64 {
+// pauliExpectation computes <psi|P|psi> for a signed Pauli string such as
+// "+XIZ" (one letter per qubit) on a statevector.
+func pauliExpectation(t *testing.T, psi *sim.State, pauli string) float64 {
 	t.Helper()
 	phi := psi.Copy()
-	// Apply Z then X per qubit (order matters only up to global phase
-	// consistent with the tableau's convention: generator = i^0 * prod
-	// X^x Z^z per qubit... use Y where both).
-	for q := range xs {
-		switch {
-		case xs[q] && zs[q]:
-			if err := phi.ApplyGate(circuit.NewGate(circuit.Y, []int{q})); err != nil {
-				t.Fatal(err)
-			}
-		case xs[q]:
-			if err := phi.ApplyGate(circuit.NewGate(circuit.X, []int{q})); err != nil {
-				t.Fatal(err)
-			}
-		case zs[q]:
-			if err := phi.ApplyGate(circuit.NewGate(circuit.Z, []int{q})); err != nil {
-				t.Fatal(err)
-			}
+	names := map[rune]circuit.Name{'X': circuit.X, 'Y': circuit.Y, 'Z': circuit.Z}
+	for q, p := range pauli[1:] {
+		name, ok := names[p]
+		if !ok {
+			continue // identity
+		}
+		if err := phi.ApplyGate(circuit.NewGate(name, []int{q})); err != nil {
+			t.Fatal(err)
 		}
 	}
 	ip := real(psi.InnerProduct(phi))
-	if sign == 1 {
+	if pauli[0] == '-' {
 		ip = -ip
 	}
 	return ip
@@ -59,9 +51,8 @@ func TestAgainstStatevector(t *testing.T) {
 		if err := psi.ApplyCircuit(c); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			xs, zs, sign := st.Generator(i)
-			exp := pauliExpectation(t, psi, xs, zs, sign)
+		for i, pauli := range st.Stabilizers() {
+			exp := pauliExpectation(t, psi, pauli)
 			if math.Abs(exp-1) > 1e-9 {
 				t.Fatalf("trial %d generator %d: expectation %v (stabilizers %v)\ncircuit:\n%v",
 					trial, i, exp, st.Stabilizers(), c)
@@ -86,7 +77,7 @@ func TestCliffordUGates(t *testing.T) {
 	for ci, c := range cases {
 		full := circuit.New(2)
 		full.H(0).CX(0, 1) // entangle so phases matter
-		full.AppendCircuit(c)
+		full.Append(c.Gates...)
 		st := stab.NewState(2)
 		if err := st.ApplyCircuit(full); err != nil {
 			t.Fatalf("case %d: %v", ci, err)
@@ -95,9 +86,8 @@ func TestCliffordUGates(t *testing.T) {
 		if err := psi.ApplyCircuit(full); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2; i++ {
-			xs, zs, sign := st.Generator(i)
-			if exp := pauliExpectation(t, psi, xs, zs, sign); math.Abs(exp-1) > 1e-9 {
+		for i, pauli := range st.Stabilizers() {
+			if exp := pauliExpectation(t, psi, pauli); math.Abs(exp-1) > 1e-9 {
 				t.Fatalf("case %d generator %d: expectation %v", ci, i, exp)
 			}
 		}
@@ -139,9 +129,8 @@ func TestExtendedCliffordGatesAgainstStatevector(t *testing.T) {
 		if err := psi.ApplyCircuit(c); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			xs, zs, sign := st.Generator(i)
-			if exp := pauliExpectation(t, psi, xs, zs, sign); math.Abs(exp-1) > 1e-9 {
+		for i, pauli := range st.Stabilizers() {
+			if exp := pauliExpectation(t, psi, pauli); math.Abs(exp-1) > 1e-9 {
 				t.Fatalf("trial %d generator %d: expectation %v\ncircuit:\n%v", trial, i, exp, c)
 			}
 		}

@@ -3,11 +3,43 @@ package stab
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"trios/internal/circuit"
 	"trios/internal/decompose"
 )
+
+// Stabilizers renders the generators as Pauli strings, e.g. "+XIZ", sorted
+// for stable output. The tests (the statevector cross-checks included) read
+// the tableau through it.
+func (s *State) Stabilizers() []string {
+	out := make([]string, s.n)
+	for i := 0; i < s.n; i++ {
+		buf := make([]byte, 0, s.n+1)
+		if s.r[i] == 0 {
+			buf = append(buf, '+')
+		} else {
+			buf = append(buf, '-')
+		}
+		for q := 0; q < s.n; q++ {
+			x, z := s.getX(i, q), s.getZ(i, q)
+			switch {
+			case x && z:
+				buf = append(buf, 'Y')
+			case x:
+				buf = append(buf, 'X')
+			case z:
+				buf = append(buf, 'Z')
+			default:
+				buf = append(buf, 'I')
+			}
+		}
+		out[i] = string(buf)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestInitialState(t *testing.T) {
 	s := NewState(3)

@@ -273,17 +273,6 @@ func (s *Store) Len() int {
 	return s.ll.Len()
 }
 
-// Keys returns the indexed keys, most recently used first.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, s.ll.Len())
-	for e := s.ll.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*entry).key)
-	}
-	return out
-}
-
 // Stats snapshots the store counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -332,11 +332,22 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Fatalf("byte budget exceeded after churn: %+v", st)
 	}
 	// Everything that survived churn must still verify.
-	for _, key := range s.Keys() {
+	for _, key := range indexedKeys(s) {
 		if _, ok := s.Get(key); !ok {
 			t.Fatalf("surviving key %s failed verification", key[:16])
 		}
 	}
+}
+
+// indexedKeys returns the store's indexed keys, most recently used first.
+func indexedKeys(s *Store) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, s.ll.Len())
+	for e := s.ll.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(*entry).key)
+	}
+	return out
 }
 
 // TestPutIdempotent: re-putting an existing key keeps one entry and does not

@@ -104,7 +104,9 @@ func FullyConnected(n int) *Graph {
 	return g
 }
 
-// Ring returns a cycle of n qubits, used in tests.
+// Ring returns a cycle of n qubits. No registry device uses it: it is the
+// small topology the route and compiler tests share (a cycle has exactly
+// two ways between any pair, which the noise-aware tests rely on).
 func Ring(n int) *Graph {
 	g := NewGraph(fmt.Sprintf("ring-%d", n), n)
 	for i := 0; i < n; i++ {

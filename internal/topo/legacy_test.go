@@ -1,6 +1,9 @@
 package topo
 
-// The per-query BFS routines the distance oracle replaced, frozen verbatim.
+import "math"
+
+// The per-query BFS and Dijkstra routines the distance oracles replaced,
+// frozen verbatim.
 // They are the ground truth the oracle equivalence tests compare against on
 // every registry device, and the "old" side of the path-machinery
 // benchmarks (make bench-route).
@@ -44,8 +47,9 @@ func (g *Graph) AllPairsDistancesBFS() [][]int {
 	return d
 }
 
-// ShortestPathTieBreakBFS is the legacy BFS-per-query path walk behind
-// ShortestPathTieBreak, retained for equivalence tests and benchmarks. Its
+// ShortestPathTieBreakBFS is the legacy BFS-per-query path walk the
+// oracle-backed ShortestPathAppend replaced, retained for equivalence tests
+// and benchmarks. Its
 // candidate enumeration order defines the contract the oracle's candidate
 // table reproduces.
 func (g *Graph) ShortestPathTieBreakBFS(src, dst int, prefer func(cands []int) int) []int {
@@ -79,6 +83,56 @@ func (g *Graph) ShortestPathTieBreakBFS(src, dst int, prefer func(cands []int) i
 		}
 		path = append(path, next)
 		cur = next
+	}
+	return path
+}
+
+// WeightedPath is the per-query Dijkstra the WeightedOracle replaced: a
+// minimum-weight path from src to dst over per-edge weights weight(a, b), or
+// nil if dst is unreachable. It is the reference the oracle's paths are held
+// to, and the "old" side of BenchmarkWeightedPathDijkstra.
+func (g *Graph) WeightedPath(src, dst int, weight func(a, b int) float64) []int {
+	dist := make([]float64, g.n)
+	prev := make([]int, g.n)
+	done := make([]bool, g.n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prev[i] = -1
+	}
+	dist[src] = 0
+	pq := pairHeap{{q: src, d: 0}}
+	for pq.Len() > 0 {
+		it := pq.pop()
+		if done[it.q] {
+			continue
+		}
+		done[it.q] = true
+		if it.q == dst {
+			break
+		}
+		for _, nb := range g.adj[it.q] {
+			w := weight(it.q, nb)
+			if w < 0 {
+				w = 0
+			}
+			if nd := dist[it.q] + w; nd < dist[nb] {
+				dist[nb] = nd
+				prev[nb] = it.q
+				pq.push(pair{q: nb, d: nd})
+			}
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		return nil
+	}
+	// Reconstruct.
+	var rev []int
+	for q := dst; q != -1; q = prev[q] {
+		rev = append(rev, q)
+	}
+	path := make([]int, len(rev))
+	for i, q := range rev {
+		path[len(rev)-1-i] = q
 	}
 	return path
 }

@@ -32,7 +32,7 @@ type oracle struct {
 	dist8 []uint8
 	// cand[candOff[src*n+dst]:candOff[src*n+dst+1]] lists the neighbors of
 	// src one hop closer to dst, in adjacency (insertion) order — exactly the
-	// candidate list the legacy ShortestPathTieBreak built per hop.
+	// candidate list the legacy ShortestPathTieBreakBFS built per hop.
 	candOff []int32
 	cand    []int32
 	// edges is the sorted (low, high) edge list, built once.
@@ -139,20 +139,13 @@ func (o *oracle) candidates(n, src, dst int) []int32 {
 
 // DistTable is the distance oracle's flat row-major hop-distance slab with
 // its stride. It is the allocation-free bulk accessor the routing hot loops
-// index directly: At compiles to one multiply-add and a 4-byte load, and
-// Slab exposes the raw slab for loops that precompute their own offsets.
+// index directly: Slab exposes the raw slab for loops that precompute their
+// own offsets.
 type DistTable struct {
 	d  []int32
 	d8 []uint8
 	n  int
 }
-
-// At returns the hop distance between a and b (-1 when unreachable).
-func (t DistTable) At(a, b int) int { return int(t.d[a*t.n+b]) }
-
-// Row returns the distances from src to every qubit as a shared slice of the
-// slab; callers must not modify it.
-func (t DistTable) Row(src int) []int32 { return t.d[src*t.n : (src+1)*t.n] }
 
 // Slab returns the raw row-major slab (len n*n, index src*n+dst); callers
 // must not modify it.
@@ -177,14 +170,6 @@ func (g *Graph) DistTable() DistTable {
 // O(1) table lookup.
 func (g *Graph) Dist(a, b int) int {
 	return int(g.ensureOracle().dist[a*g.n+b])
-}
-
-// NextHopCandidates returns the neighbors of src that lie on some shortest
-// path toward dst, in adjacency order — the candidate set a tie-breaking
-// path walk chooses from at src. The slice is shared; callers must not
-// modify it. Empty when src == dst or dst is unreachable.
-func (g *Graph) NextHopCandidates(src, dst int) []int32 {
-	return g.ensureOracle().candidates(g.n, src, dst)
 }
 
 // EdgeList returns all couplings as sorted (low, high) pairs. Unlike Edges,

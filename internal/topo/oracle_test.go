@@ -44,6 +44,13 @@ func row32(row []int32) []int {
 	return out
 }
 
+// At returns the hop distance between a and b (-1 when unreachable).
+func (t DistTable) At(a, b int) int { return int(t.d[a*t.n+b]) }
+
+// Row returns the distances from src to every qubit as a shared slice of the
+// slab.
+func (t DistTable) Row(src int) []int32 { return t.d[src*t.n : (src+1)*t.n] }
+
 func TestOracleDistancesMatchBFS(t *testing.T) {
 	for _, g := range registryDevices() {
 		want := g.AllPairsDistancesBFS()
@@ -92,13 +99,13 @@ func TestOracleCandidateOrderMatchesBFS(t *testing.T) {
 		n := g.NumQubits()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				got := g.NextHopCandidates(src, dst)
+				got := g.ensureOracle().candidates(n, src, dst)
 				want := legacyCandidates(g, src, dst)
 				if len(got) == 0 && len(want) == 0 {
 					continue
 				}
 				if !reflect.DeepEqual(row32(got), want) {
-					t.Fatalf("%s: NextHopCandidates(%d,%d)=%v, legacy BFS order %v", g.Name(), src, dst, got, want)
+					t.Fatalf("%s: candidates(%d,%d)=%v, legacy BFS order %v", g.Name(), src, dst, got, want)
 				}
 			}
 		}
@@ -117,7 +124,7 @@ func TestOracleTieBreakPathsMatchBFS(t *testing.T) {
 				rngO := rand.New(rand.NewSource(int64(src*1009 + dst)))
 				rngB := rand.New(rand.NewSource(int64(src*1009 + dst)))
 				var seenO, seenB [][]int
-				po := g.ShortestPathTieBreak(src, dst, func(cands []int32) int {
+				po, _ := g.ShortestPathAppend(nil, src, dst, func(cands []int32) int {
 					seenO = append(seenO, row32(cands))
 					return rngO.Intn(len(cands))
 				})
@@ -132,7 +139,8 @@ func TestOracleTieBreakPathsMatchBFS(t *testing.T) {
 					t.Fatalf("%s: prefer streams diverge for (%d,%d): oracle %v, BFS %v", g.Name(), src, dst, seenO, seenB)
 				}
 				// Default (nil prefer) tie-break must agree too.
-				if d, b := g.ShortestPathTieBreak(src, dst, nil), g.ShortestPathTieBreakBFS(src, dst, nil); !reflect.DeepEqual(d, b) {
+				d, _ := g.ShortestPathAppend(nil, src, dst, nil)
+				if b := g.ShortestPathTieBreakBFS(src, dst, nil); !reflect.DeepEqual(d, b) {
 					t.Fatalf("%s: deterministic path(%d,%d) oracle %v != BFS %v", g.Name(), src, dst, d, b)
 				}
 			}
@@ -149,7 +157,7 @@ func TestShortestPathAppendReusesBuffer(t *testing.T) {
 			if !ok {
 				t.Fatalf("grid should be connected: (%d,%d)", src, dst)
 			}
-			if want := g.ShortestPath(src, dst); !reflect.DeepEqual(p, want) {
+			if want := g.ShortestPathTieBreakBFS(src, dst, nil); !reflect.DeepEqual(p, want) {
 				t.Fatalf("append path (%d,%d) = %v, want %v", src, dst, p, want)
 			}
 		}
@@ -229,7 +237,7 @@ func TestOraclePropertyRandomGraphs(t *testing.T) {
 				t.Fatalf("trial %d: Distances(%d) diverges", trial, src)
 			}
 			for dst := 0; dst < n; dst++ {
-				got := row32(g.NextHopCandidates(src, dst))
+				got := row32(g.ensureOracle().candidates(n, src, dst))
 				legacy := legacyCandidates(g, src, dst)
 				if len(got) != len(legacy) || (len(legacy) > 0 && !reflect.DeepEqual(got, legacy)) {
 					t.Fatalf("trial %d: candidates(%d,%d) %v != %v", trial, src, dst, got, legacy)
@@ -237,7 +245,7 @@ func TestOraclePropertyRandomGraphs(t *testing.T) {
 				seed := int64(trial*100000 + src*100 + dst)
 				rngO := rand.New(rand.NewSource(seed))
 				rngB := rand.New(rand.NewSource(seed))
-				po := g.ShortestPathTieBreak(src, dst, func(c []int32) int { return rngO.Intn(len(c)) })
+				po, _ := g.ShortestPathAppend(nil, src, dst, func(c []int32) int { return rngO.Intn(len(c)) })
 				pb := g.ShortestPathTieBreakBFS(src, dst, func(c []int) int { return rngB.Intn(len(c)) })
 				if !reflect.DeepEqual(po, pb) {
 					t.Fatalf("trial %d: path(%d,%d) %v != %v", trial, src, dst, po, pb)
@@ -265,7 +273,7 @@ func TestConcurrentOracleBuild(t *testing.T) {
 					errs <- "dist mismatch under concurrency"
 					return
 				}
-				p := g.ShortestPathTieBreak(src, dst, func(c []int32) int { return rng.Intn(len(c)) })
+				p, _ := g.ShortestPathAppend(nil, src, dst, func(c []int32) int { return rng.Intn(len(c)) })
 				if len(p) != want[src][dst]+1 {
 					errs <- "path length mismatch under concurrency"
 					return
